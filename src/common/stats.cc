@@ -1,93 +1,8 @@
 #include "common/stats.hh"
 
 #include <cmath>
-#include <sstream>
-
-#include "common/logging.hh"
 
 namespace clustersim {
-
-Histogram::Histogram(double min, double max, std::size_t buckets)
-    : min_(min), max_(max), counts_(buckets, 0)
-{
-    CSIM_ASSERT(max > min && buckets > 0);
-}
-
-void
-Histogram::sample(double v, std::uint64_t weight)
-{
-    double span = max_ - min_;
-    double pos = (v - min_) / span * counts_.size();
-    long idx = static_cast<long>(pos);
-    if (idx < 0)
-        idx = 0;
-    if (idx >= static_cast<long>(counts_.size()))
-        idx = static_cast<long>(counts_.size()) - 1;
-    counts_[static_cast<std::size_t>(idx)] += weight;
-    total_ += weight;
-    sum_ += v * weight;
-}
-
-void
-Histogram::reset()
-{
-    for (auto &c : counts_)
-        c = 0;
-    total_ = 0;
-    sum_ = 0.0;
-}
-
-double
-Histogram::fractionAtLeast(double v) const
-{
-    if (total_ == 0)
-        return 0.0;
-    double span = max_ - min_;
-    long first = static_cast<long>((v - min_) / span * counts_.size());
-    if (first < 0)
-        first = 0;
-    std::uint64_t n = 0;
-    for (std::size_t i = static_cast<std::size_t>(first);
-         i < counts_.size(); i++) {
-        n += counts_[i];
-    }
-    return static_cast<double>(n) / static_cast<double>(total_);
-}
-
-void
-StatSet::set(const std::string &name, double value)
-{
-    auto it = index_.find(name);
-    if (it != index_.end()) {
-        entries_[it->second].second = value;
-    } else {
-        index_[name] = entries_.size();
-        entries_.emplace_back(name, value);
-    }
-}
-
-double
-StatSet::get(const std::string &name) const
-{
-    auto it = index_.find(name);
-    CSIM_ASSERT(it != index_.end(), "unknown stat: ", name);
-    return entries_[it->second].second;
-}
-
-bool
-StatSet::has(const std::string &name) const
-{
-    return index_.count(name) != 0;
-}
-
-std::string
-StatSet::format() const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : entries_)
-        os << name << " = " << value << "\n";
-    return os.str();
-}
 
 double
 geomean(const std::vector<double> &values)

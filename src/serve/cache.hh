@@ -36,7 +36,7 @@ namespace serve {
  * harness failing is the cue); every stale entry then misses by
  * construction instead of replaying outdated results.
  */
-inline constexpr const char *defaultCacheSalt = "clustersim-results-v6";
+inline constexpr const char *defaultCacheSalt = "clustersim-results-v7";
 
 /** Monotonic counters; snapshot via CacheStore::stats(). */
 struct CacheStats {

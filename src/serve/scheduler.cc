@@ -46,7 +46,7 @@ struct TaskMember {
 };
 
 /** One unit of worker work: the cold members of one plan group, so
- *  points that could share a warmup still do (runSweepBatched). */
+ *  points that could share a warmup still do (runSweep). */
 struct PointScheduler::Task {
     std::vector<TaskMember> members;
 };
@@ -226,32 +226,30 @@ PointScheduler::start(std::uint64_t id)
     // already computing (or queueing) is joined as a waiter instead of
     // recomputed -- concurrent submissions compute each point once.
     std::size_t tasks = 0;
-    for (const SweepPlan::Batch &b : job.plan.batches) {
-        for (const SweepPlan::Group &g : b.groups) {
-            Task task;
-            for (std::size_t idx : g.members) {
-                if (job.state[idx] != Job::Pending)
-                    continue;
-                const std::string &ikey = job.ikeys[idx];
-                auto it = inflight_.find(ikey);
-                if (it != inflight_.end()) {
-                    it->second.waiters.emplace_back(id, idx);
-                    continue;
-                }
-                Inflight entry;
-                entry.origin = id;
-                entry.waiters.emplace_back(id, idx);
-                inflight_[ikey] = std::move(entry);
-                TaskMember m;
-                m.ikey = ikey;
-                m.persist = !job.cacheKeys[idx].empty();
-                m.point = job.points[idx];
-                task.members.push_back(std::move(m));
+    for (const SweepPlan::Group &g : job.plan.groups) {
+        Task task;
+        for (std::size_t idx : g.members) {
+            if (job.state[idx] != Job::Pending)
+                continue;
+            const std::string &ikey = job.ikeys[idx];
+            auto it = inflight_.find(ikey);
+            if (it != inflight_.end()) {
+                it->second.waiters.emplace_back(id, idx);
+                continue;
             }
-            if (!task.members.empty()) {
-                queue_.push_back(std::move(task));
-                tasks++;
-            }
+            Inflight entry;
+            entry.origin = id;
+            entry.waiters.emplace_back(id, idx);
+            inflight_[ikey] = std::move(entry);
+            TaskMember m;
+            m.ikey = ikey;
+            m.persist = !job.cacheKeys[idx].empty();
+            m.point = job.points[idx];
+            task.members.push_back(std::move(m));
+        }
+        if (!task.members.empty()) {
+            queue_.push_back(std::move(task));
+            tasks++;
         }
     }
     for (std::size_t i = 0; i < tasks; i++)
@@ -382,11 +380,11 @@ PointScheduler::executeTask(Task task)
     for (const TaskMember &m : live)
         pts.push_back(m.point);
 
-    // The members are one plan group, so the batched engine still
-    // shares their stream and warmup; results are byte-identical to
-    // runSweep() either way. ScopedPanicRethrow turns a panic inside
-    // one point (livelock guard, construction assert) into a SimError
-    // that fails just this task's points.
+    // The members are one plan group, so runSweep() plans them into
+    // one group again and shares their stream and warmup.
+    // ScopedPanicRethrow turns a panic inside one point (livelock
+    // guard, construction assert) into a SimError that fails just this
+    // task's points.
     SweepOptions opts;
     opts.threads = 1;
     opts.deriveSeeds = true;
@@ -397,13 +395,13 @@ PointScheduler::executeTask(Task task)
 #if defined(__cpp_exceptions) || defined(__EXCEPTIONS)
     try {
         ScopedPanicRethrow rethrow;
-        res = runSweepBatched(pts, opts);
+        res = runSweep(pts, opts);
     } catch (const SimError &e) {
         run_failed = true;
         error = e.what();
     }
 #else
-    res = runSweepBatched(pts, opts);
+    res = runSweep(pts, opts);
 #endif
 
     std::vector<std::string> payloads(live.size());

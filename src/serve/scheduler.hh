@@ -6,7 +6,7 @@
  * the canonical plan (sim/plan.hh), replays every point already in the
  * content-addressed cache, and shards the rest across a fixed worker
  * pool as plan-group tasks (so points that could share a warmup still
- * do, via runSweepBatched). Cold points wanted by several concurrent
+ * do, via runSweep). Cold points wanted by several concurrent
  * jobs compute exactly once: the first job owns the in-flight entry,
  * later jobs attach as waiters and receive the same payload bytes
  * marked `merged`.

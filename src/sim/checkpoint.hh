@@ -1,8 +1,8 @@
 /**
  * @file
  * Persistent warmup-checkpoint store: serialized post-warmup
- * Processor::Snapshot blobs reused across sweeps, the batched driver,
- * and the sweep daemon.
+ * Processor::Snapshot blobs reused across sweeps and by the sweep
+ * daemon.
  *
  * A point's warmup is a pure function of its warmup identity (workload
  * stream + config + warmup count + controller identity -- see
@@ -52,7 +52,7 @@ namespace clustersim {
  * files, the version rejects blobs that slip through.)
  */
 inline constexpr const char *defaultCheckpointSalt =
-    "clustersim-warmup-v1";
+    "clustersim-warmup-v2";
 
 /** Monotonic counters; snapshot via WarmupCheckpointStore::stats(). */
 struct CheckpointStats {

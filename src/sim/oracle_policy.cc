@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/logging.hh"
@@ -167,16 +168,38 @@ oracleWorkload(const OraclePolicyParams &p)
     return w;
 }
 
+/** A candidate's measure window, scored as the report scores it. */
+struct WindowScore {
+    std::uint64_t insts = 0;
+    std::uint64_t cycles = 0;
+};
+
+/**
+ * Whether `a` beats `b`: higher IPC, compared exactly by
+ * cross-multiplying in 128 bits (the reported IPC counts the commit
+ * overshoot past the window's end, so fewest cycles alone can pick a
+ * lower-IPC candidate); on equal IPC, fewer cycles.
+ */
+bool
+betterScore(const WindowScore &a, const WindowScore &b)
+{
+    using Wide = unsigned __int128;
+    Wide lhs = static_cast<Wide>(a.insts) * b.cycles;
+    Wide rhs = static_cast<Wide>(b.insts) * a.cycles;
+    if (lhs != rhs)
+        return lhs > rhs;
+    return a.cycles < b.cycles;
+}
+
 /**
  * Probe each candidate configuration on the oracle run's machine and
  * stream: the committed stream is configuration-independent here
  * (fetch-gated mispredicts, no wrong-path commits), so the rows of
  * every probe are aligned at the same committed-instruction
- * boundaries. `cycles[k]` receives each probe run's measured total.
+ * boundaries. `runs[k]` receives each probe run's measured result.
  */
 std::vector<std::vector<TimeSeriesRow>>
-runFixedProbes(const OraclePolicyParams &p,
-               std::vector<std::uint64_t> *cycles)
+runFixedProbes(const OraclePolicyParams &p, std::vector<SimResult> *runs)
 {
     WorkloadSpec w = oracleWorkload(p);
     std::vector<std::vector<TimeSeriesRow>> rows;
@@ -186,8 +209,8 @@ runFixedProbes(const OraclePolicyParams &p,
                                     &probe, p.warmup,
                                     p.horizon - p.warmup);
         rows.push_back(probe.rows());
-        if (cycles)
-            cycles->push_back(r.cycles);
+        if (runs)
+            runs->push_back(std::move(r));
     }
     return rows;
 }
@@ -230,28 +253,30 @@ computeBestOracleSchedule(const OraclePolicyParams &p)
     ProcessorConfig cfg = clusteredConfig(maxClusters);
 
     const std::uint64_t measure = p.horizon - p.warmup;
-    std::uint64_t best_cycles = ~std::uint64_t(0);
+    std::optional<WindowScore> best_score;
     OracleSchedule best;
-    auto consider = [&](std::uint64_t cycles, std::uint64_t slot,
+    auto consider = [&](const SimResult &r, std::uint64_t slot,
                         std::vector<int> targets) {
-        // Strict '<' in consideration order: fixed configurations
-        // ascending, then the DP mixture, then the reactive
-        // trajectories. Ties go to the earliest (simplest) candidate.
-        if (cycles < best_cycles) {
-            best_cycles = cycles;
+        // Strictly better only, in consideration order: fixed
+        // configurations ascending, then the DP mixture, then the
+        // reactive trajectories. Full ties go to the earliest
+        // (simplest) candidate.
+        WindowScore score{r.instructions, r.cycles};
+        if (!best_score || betterScore(score, *best_score)) {
+            best_score = score;
             best = {slot, std::move(targets)};
         }
     };
 
     // Fixed-configuration probes: their rows feed the DP, and each run
     // competes directly as a constant schedule. All probes score on
-    // measure-window cycles (commits past p.warmup), the window the
-    // run point reports.
-    std::vector<std::uint64_t> fixed_cycles;
+    // the measure window (commits past p.warmup), the window the run
+    // point reports.
+    std::vector<SimResult> fixed_runs;
     std::vector<std::vector<TimeSeriesRow>> rows =
-        runFixedProbes(p, &fixed_cycles);
+        runFixedProbes(p, &fixed_runs);
     for (std::size_t k = 0; k < p.configs.size(); k++)
-        consider(fixed_cycles[k], p.interval,
+        consider(fixed_runs[k], p.interval,
                  std::vector<int>{p.configs[k]});
 
     // The DP's cost is a prediction stitched from per-probe rows
@@ -262,7 +287,7 @@ computeBestOracleSchedule(const OraclePolicyParams &p)
     if (!dp.empty()) {
         OracleController replay(p.interval, dp);
         SimResult r = runSimulation(cfg, w, &replay, p.warmup, measure);
-        consider(r.cycles, p.interval, std::move(dp));
+        consider(r, p.interval, std::move(dp));
     }
 
     // Every reactive policy runs once on the oracle's stream; its
@@ -273,7 +298,7 @@ computeBestOracleSchedule(const OraclePolicyParams &p)
         TrajectoryProbeController probe(
             makeController(rp.policy, rp.params).make());
         SimResult r = runSimulation(cfg, w, &probe, p.warmup, measure);
-        consider(r.cycles, 1, probe.targets());
+        consider(r, 1, probe.targets());
     }
 
     CSIM_ASSERT(!best.targets.empty());

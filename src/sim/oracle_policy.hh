@@ -13,12 +13,14 @@
  * The shipped oracle is *best-of*, not DP-only: alongside the DP
  * schedule and the fixed-configuration probes, every reactive policy
  * runs once on the oracle's stream with its per-commit target
- * trajectory recorded, and the candidate with the fewest measured
- * cycles over the horizon wins. Replaying a reactive trajectory keyed
- * on the committed-instruction count reproduces that run exactly (the
- * committed stream is configuration-independent here), so the oracle
- * is >= every reactive policy by construction while the DP component
- * lets it beat them all wherever an interval-grained mixture wins.
+ * trajectory recorded, and the candidate with the highest measured
+ * IPC over the run point's measure window wins (compared exactly, the
+ * way the report computes it; ties go to fewer cycles). Replaying a
+ * reactive trajectory keyed on the committed-instruction count
+ * reproduces that run exactly (the committed stream is
+ * configuration-independent here), so the oracle is >= every reactive
+ * policy by construction while the DP component lets it beat them all
+ * wherever an interval-grained mixture wins.
  *
  * registerOraclePolicy() publishes the policy as "oracle" in the
  * controller registry (reconfig/registry.hh). The probes are deferred
@@ -52,10 +54,10 @@ struct OraclePolicyParams {
     std::uint64_t horizon = 0; ///< instructions covered: warmup+measure
     /**
      * Instructions before the run point's measure window opens
-     * (< horizon). Candidates are scored on measured cycles *after*
-     * this boundary -- the window the tournament actually reports --
-     * not on whole-horizon cycles, so a candidate cannot win on a fast
-     * warmup it is never scored for.
+     * (< horizon). Candidates are scored on the measure window
+     * *after* this boundary -- the window the tournament actually
+     * reports -- not on the whole horizon, so a candidate cannot win
+     * on a fast warmup it is never scored for.
      */
     std::uint64_t warmup = 0;
     std::uint64_t interval = 10000; ///< schedule slot, instructions
@@ -83,9 +85,10 @@ struct OracleSchedule {
  * The best-of oracle: race the DP schedule, every fixed configuration,
  * and every reactive policy's recorded trajectory over the horizon on
  * the oracle point's own stream, and return the schedule with the
- * fewest measured cycles. Deterministic in the params; ties resolve to
- * the earliest candidate in a fixed order (fixed configs ascending,
- * then the DP mixture, then the reactive trajectories).
+ * highest measure-window IPC (exact rational comparison). Deterministic
+ * in the params; equal IPCs resolve to fewer cycles, then to the
+ * earliest candidate in a fixed order (fixed configs ascending, then
+ * the DP mixture, then the reactive trajectories).
  */
 OracleSchedule computeBestOracleSchedule(const OraclePolicyParams &p);
 

@@ -74,23 +74,18 @@ keyPhase(std::string &k, const PhaseSpec &p)
     keyU(k, p.meanPhaseLen);
 }
 
-/** Warmup-sharing identity within one stream: config + warmup +
- *  controller. A controller without a key is never shared. */
-std::string
-warmupKey(const RunPoint &p, std::size_t index)
+/** Config + workload (with the derived seed) + warmup + controller
+ *  identity: everything that decides a point's post-warmup state. */
+void
+appendWarmupKey(std::string &k, const RunPoint &p, std::uint64_t seed)
 {
-    std::string k;
     appendConfigKey(k, p.cfg);
+    WorkloadSpec w = p.workload;
+    w.seed = seed;
+    appendWorkloadKey(k, w);
     keyU(k, p.warmup);
-    if (p.makeController) {
-        if (p.controllerKey.empty())
-            keyS(k, "unshared-" + std::to_string(index));
-        else
-            keyS(k, "ctrl-" + p.controllerKey);
-    } else {
-        keyS(k, "no-controller");
-    }
-    return k;
+    keyS(k, p.makeController ? "ctrl-" + p.controllerKey
+                             : std::string("no-controller"));
 }
 
 } // namespace
@@ -201,35 +196,20 @@ planSweep(const std::vector<RunPoint> &points, bool derive_seeds)
     SweepPlan plan;
     plan.points = planPoints(points, derive_seeds);
 
-    // std::map keeps planning deterministic (D003); first-appearance
-    // order is preserved for batches and groups, submission order for
-    // group members.
-    std::map<std::string, std::size_t> batch_of;
-    std::map<std::string, std::pair<std::size_t, std::size_t>> group_of;
+    // std::map keeps planning deterministic (D003); groups keep their
+    // first-appearance order, members their submission order.
+    std::map<std::string, std::size_t> group_of;
     for (std::size_t i = 0; i < points.size(); i++) {
-        const RunPoint &p = points[i];
-        WorkloadSpec w = p.workload;
-        w.seed = plan.points[i].seed;
-
-        std::string skey;
-        appendWorkloadKey(skey, w);
-        auto [bit, bfresh] = batch_of.try_emplace(skey,
-                                                  plan.batches.size());
-        if (bfresh)
-            plan.batches.emplace_back();
-        SweepPlan::Batch &batch = plan.batches[bit->second];
-
-        std::string gkey = skey + warmupKey(p, i);
-        auto gi = group_of.find(gkey);
-        if (gi == group_of.end()) {
-            group_of.emplace(gkey,
-                             std::make_pair(bit->second,
-                                            batch.groups.size()));
-            batch.groups.emplace_back();
-            batch.groups.back().members.push_back(i);
-        } else {
-            batch.groups[gi->second.second].members.push_back(i);
-        }
+        // A controller without a key is opaque, so it never shares.
+        std::string k;
+        if (pointCacheable(points[i]))
+            appendWarmupKey(k, points[i], plan.points[i].seed);
+        else
+            keyS(k, "unshared-" + std::to_string(i));
+        auto [it, fresh] = group_of.try_emplace(k, plan.groups.size());
+        if (fresh)
+            plan.groups.emplace_back();
+        plan.groups[it->second].members.push_back(i);
     }
     return plan;
 }
@@ -247,17 +227,9 @@ pointIdentityKey(const RunPoint &p, const std::string &label,
     if (!pointCacheable(p))
         return {};
     std::string k;
-    appendConfigKey(k, p.cfg);
-    WorkloadSpec w = p.workload;
-    w.seed = seed;
-    appendWorkloadKey(k, w);
-    keyU(k, p.warmup);
+    appendWarmupKey(k, p, seed);
     keyU(k, p.measure);
     keyS(k, label);
-    if (p.makeController)
-        keyS(k, "ctrl-" + p.controllerKey);
-    else
-        keyS(k, "no-controller");
     return k;
 }
 
@@ -267,15 +239,7 @@ warmupIdentityKey(const RunPoint &p, std::uint64_t seed)
     if (!pointCacheable(p) || p.warmup == 0)
         return {};
     std::string k;
-    appendConfigKey(k, p.cfg);
-    WorkloadSpec w = p.workload;
-    w.seed = seed;
-    appendWorkloadKey(k, w);
-    keyU(k, p.warmup);
-    if (p.makeController)
-        keyS(k, "ctrl-" + p.controllerKey);
-    else
-        keyS(k, "no-controller");
+    appendWarmupKey(k, p, seed);
     return k;
 }
 

@@ -2,16 +2,16 @@
  * @file
  * Canonical sweep planning: the single source of truth for how a list
  * of RunPoints maps to per-point identities (label, derived seed) and
- * to the deterministic grouping/ordering the batched driver executes.
+ * to the warmup groups the sweep executor runs.
  *
- * Three consumers share this module so they can never drift apart:
+ * Two consumers share this module so they can never drift apart:
  *
- *  - runSweep() derives each point's label and seed from planPoints();
- *  - runSweepBatched() executes the batches of planSweep() verbatim;
+ *  - runSweep() derives each point's label and seed here and runs the
+ *    groups of planSweep(), one group per worker task;
  *  - the sweep server (src/serve/) keys its content-addressed result
- *    cache on pointIdentityKey() and shards work along plan groups, so
- *    a cache-replayed report is assembled in exactly the order the CLI
- *    engines would have produced it.
+ *    cache on pointIdentityKey() and hands runSweep() one plan group
+ *    per task, so a cache-replayed report is assembled in exactly the
+ *    order the CLI would have produced it.
  *
  * The byte-key serializers enumerate every field that influences a
  * simulated outcome, in declaration order, with separators (doubles as
@@ -50,21 +50,18 @@ std::vector<PlannedPoint> planPoints(const std::vector<RunPoint> &points,
 
 /**
  * The canonical execution plan of a sweep: points in submission order
- * plus the deterministic batch/group structure. Points sharing one
- * instruction stream (same workload spec and derived seed) form a
- * batch, in first-appearance order; within a batch, points that also
- * share (config, warmup, controller identity) form a warmup group, in
- * first-appearance order, members in submission order.
+ * plus their warmup groups. Points that share one instruction stream
+ * (same workload spec and derived seed) and also (config, warmup,
+ * controller identity) form a group: they reach the same post-warmup
+ * state, so one warmup serves them all. Groups are in first-appearance
+ * order, members in submission order.
  */
 struct SweepPlan {
     struct Group {
         std::vector<std::size_t> members; ///< submission indices
     };
-    struct Batch {
-        std::vector<Group> groups;
-    };
     std::vector<PlannedPoint> points;     ///< submission order
-    std::vector<Batch> batches;           ///< first-appearance order
+    std::vector<Group> groups;            ///< first-appearance order
 };
 
 SweepPlan planSweep(const std::vector<RunPoint> &points,

@@ -1,4 +1,4 @@
-// simlint: thread-launcher -- runSweep() owns the classic worker pool;
+// simlint: thread-launcher -- runSweep() owns the sweep worker pool;
 // threads are joined before it returns
 
 #include "sim/sweep.hh"
@@ -7,6 +7,8 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
+#include <optional>
 #include <thread>
 
 #include "check/invariant.hh"
@@ -36,20 +38,100 @@ secondsSince(Clock::time_point t0)
 }
 
 /**
- * Checkpoint-aware variant of runSimulation(): replay-sourced (the
- * snapshot contract needs a seekable trace), restoring the post-warmup
- * state from the store when a valid blob exists and persisting it when
- * not. The replayed stream is the same instruction sequence the
- * synthetic generator feeds runSimulation(), so results stay
- * bit-identical to the cold path (the batched/unbatched byte-identity
- * contract). Returns whether the warmup was restored rather than run.
+ * Bring a freshly built processor to its post-warmup state: restore it
+ * from the checkpoint store when a valid blob exists under `key`,
+ * otherwise simulate the warmup and (when keyed) persist the result.
+ * Returns whether the state was restored rather than simulated.
  */
 bool
-runCheckpointed(WarmupCheckpointStore &store, const std::string &key,
-                const ProcessorConfig &cfg, const WorkloadSpec &workload,
-                ReconfigController *controller, std::uint64_t warmup,
-                std::uint64_t measure, SimResult &res)
+warmUp(Processor &proc, WarmupCheckpointStore *store,
+       const std::string &key, std::uint64_t warmup)
 {
+    if (key.empty()) {
+        proc.run(warmup);
+        return false;
+    }
+    auto try_restore = [&]() {
+        std::optional<std::string> payload = store->load(key);
+        if (!payload)
+            return false;
+        // The donor snapshot gives deserialization a shape-correct
+        // target; a failed load leaves the processor untouched.
+        Processor::Snapshot donor = proc.snapshot();
+        if (!deserializeSnapshot(*payload, donor))
+            return false;
+        proc.restore(donor);
+        return true;
+    };
+    // load -> miss -> lease -> load again (the prior holder may have
+    // stored while we waited) -> on a second miss, compute and store.
+    if (try_restore())
+        return true;
+    WarmupCheckpointStore::ComputeLease lease = store->beginCompute({key});
+    if (try_restore())
+        return true;
+    proc.run(warmup);
+    store->store(key, serializeSnapshot(proc.snapshot()));
+    return false;
+}
+
+/**
+ * Run one warmup group and fill its members' result slots.
+ *
+ * A lone member without a checkpoint key streams from the synthetic
+ * generator through runSimulation(). Any other group replays one
+ * pre-generated stream into one processor: the warmup is simulated (or
+ * restored from the checkpoint store) once, and each member measures
+ * from that post-warmup state. Replay feeds the instruction stream the
+ * generator would, and a restore is bit-exact, so both paths produce
+ * the same bytes.
+ *
+ * Each member's wallSeconds covers the host work its result needed:
+ * the lead carries controller and processor construction plus the
+ * warmup or restore; later members carry their restore and measure.
+ */
+void
+runGroup(const std::vector<RunPoint> &points, const SweepPlan &plan,
+         const SweepPlan::Group &group, const SweepOptions &opts,
+         SweepResult &out, Mutex &complete_mutex)
+{
+    // simlint-ignore(D002): timing-only bookkeeping, never a sim input
+    Clock::time_point start = Clock::now();
+    auto finish = [&](std::size_t idx, SimResult r, bool warm) {
+        r.config = plan.points[idx].label;
+        SweepRun &slot = out.runs[idx];
+        slot.result = std::move(r);
+        slot.seed = plan.points[idx].seed;
+        slot.wallSeconds = secondsSince(start);
+        slot.warmStart = warm;
+        if (opts.onComplete) {
+            MutexLock lock(complete_mutex);
+            opts.onComplete(idx, slot.result);
+        }
+        // simlint-ignore(D002): timing-only bookkeeping
+        start = Clock::now();
+    };
+
+    const std::size_t lead = group.members[0];
+    const RunPoint &p = points[lead];
+    WorkloadSpec w = p.workload;
+    w.seed = plan.points[lead].seed;
+    std::unique_ptr<ReconfigController> ctrl;
+    if (p.makeController)
+        ctrl = p.makeController();
+
+    WarmupCheckpointStore *store =
+        opts.checkpoints && opts.checkpoints->enabled() ? opts.checkpoints
+                                                        : nullptr;
+    std::string key = store ? store->keyFor(p, w.seed) : std::string();
+
+    if (group.members.size() == 1 && key.empty()) {
+        finish(lead,
+               runSimulation(p.cfg, w, ctrl.get(), p.warmup, p.measure),
+               false);
+        return;
+    }
+
     // Mirror runSimulation(): in a check build, validate by default.
     std::optional<InvariantChecker> own_checker;
     std::optional<CheckScope> own_scope;
@@ -58,40 +140,32 @@ runCheckpointed(WarmupCheckpointStore &store, const std::string &key,
         own_scope.emplace(*own_checker);
     }
 
-    auto buffer = std::make_shared<const ReplayBuffer>(
-        workload, warmup + measure + replayMargin(cfg));
-    ReplaySource src(buffer);
-    Processor proc(cfg, &src, controller);
+    // Members share config and warmup, so one buffer sized for the
+    // longest measure window (plus the fetch-ahead margin) feeds all.
+    std::uint64_t longest = 0;
+    for (std::size_t idx : group.members)
+        longest = std::max(longest, points[idx].measure);
+    ReplaySource src(std::make_shared<const ReplayBuffer>(
+        w, p.warmup + longest + replayMargin(p.cfg)));
+    Processor proc(p.cfg, &src, ctrl.get());
 
-    // load -> miss -> lease -> load again (the prior holder may have
-    // stored while we waited) -> on a second miss, compute and store.
     bool restored = false;
-    auto try_restore = [&]() {
-        std::optional<std::string> payload = store.load(key);
-        if (!payload)
-            return;
-        Processor::Snapshot donor = proc.snapshot();
-        if (deserializeSnapshot(*payload, donor)) {
-            proc.restore(donor);
-            restored = true;
-        }
-    };
-    WarmupCheckpointStore::ComputeLease lease;
-    try_restore();
-    if (!restored) {
-        lease = store.beginCompute({key});
-        try_restore();
+    if (p.warmup > 0) {
+        restored = warmUp(proc, store, key, p.warmup);
+        proc.resetStats();
     }
-    if (!restored) {
-        proc.run(warmup);
-        store.store(key, serializeSnapshot(proc.snapshot()));
-    }
-    proc.resetStats();
+    std::optional<Processor::Snapshot> warm;
+    if (group.members.size() > 1)
+        warm.emplace(proc.snapshot());
 
-    res = measureWindow(proc, measure);
-    res.benchmark = workload.name;
-    res.config = cfg.name;
-    return restored;
+    for (std::size_t mi = 0; mi < group.members.size(); mi++) {
+        std::size_t idx = group.members[mi];
+        if (mi > 0)
+            proc.restore(*warm);
+        SimResult r = measureWindow(proc, points[idx].measure);
+        r.benchmark = w.name;
+        finish(idx, std::move(r), restored);
+    }
 }
 
 } // namespace
@@ -144,6 +218,10 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
     SweepResult out;
     out.runs.resize(points.size());
 
+    // The canonical plan (sim/plan.hh), shared with the serve-layer
+    // cache, decides every point's identity and every warmup group.
+    SweepPlan plan = planSweep(points, opts.deriveSeeds);
+
     int threads = opts.threads;
     if (threads <= 0) {
         threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -151,7 +229,7 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
             threads = 1;
     }
     threads = std::min<int>(threads,
-                            std::max<std::size_t>(points.size(), 1));
+                            std::max<std::size_t>(plan.groups.size(), 1));
     out.threads = threads;
 
     // simlint-ignore(D002): timing-only bookkeeping, never a sim input
@@ -159,59 +237,13 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
     std::atomic<std::size_t> next{0};
     Mutex complete_mutex;
 
-    // Canonical per-point identities, shared with the batched driver
-    // and the serve-layer cache (sim/plan.hh).
-    std::vector<PlannedPoint> plan = planPoints(points,
-                                                opts.deriveSeeds);
-
     auto worker = [&]() {
         for (;;) {
-            std::size_t i = next.fetch_add(1);
-            if (i >= points.size())
+            std::size_t g = next.fetch_add(1);
+            if (g >= plan.groups.size())
                 return;
-            const RunPoint &p = points[i];
-
-            WorkloadSpec w = p.workload;
-            const std::string &label = plan[i].label;
-            w.seed = plan[i].seed;
-
-            std::unique_ptr<ReconfigController> ctrl;
-            if (p.makeController)
-                ctrl = p.makeController();
-
-            // Points with a declared warmup identity route through the
-            // replay-based checkpoint path; everything else (store
-            // disabled, opaque controller, warmup == 0) runs the
-            // classic synthetic-source path. Both produce identical
-            // bytes -- replay feeds the same instruction stream the
-            // generator would.
-            std::string ckpt_key;
-            if (opts.checkpoints && opts.checkpoints->enabled())
-                ckpt_key = opts.checkpoints->keyFor(p, w.seed);
-
-            // simlint-ignore(D002): timing-only bookkeeping, never a
-            // sim input
-            Clock::time_point run_start = Clock::now();
-            SweepRun &slot = out.runs[i];
-            SimResult r;
-            if (!ckpt_key.empty()) {
-                slot.warmStart = runCheckpointed(
-                    *opts.checkpoints, ckpt_key, p.cfg, w, ctrl.get(),
-                    p.warmup, p.measure, r);
-            } else {
-                r = runSimulation(p.cfg, w, ctrl.get(), p.warmup,
-                                  p.measure);
-            }
-            r.config = label;
-
-            slot.result = std::move(r);
-            slot.seed = w.seed;
-            slot.wallSeconds = secondsSince(run_start);
-
-            if (opts.onComplete) {
-                MutexLock lock(complete_mutex);
-                opts.onComplete(i, slot.result);
-            }
+            runGroup(points, plan, plan.groups[g], opts, out,
+                     complete_mutex);
         }
     };
 

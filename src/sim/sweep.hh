@@ -3,12 +3,13 @@
  * Parallel sweep engine with structured metrics export.
  *
  * Every figure and table in the paper is a sweep over (benchmark x
- * configuration x controller) points. The engine executes a list of
- * independent RunPoints on a fixed-size worker pool and collects the
- * SimResults in submission order. Results are bit-identical regardless
- * of thread count or scheduling order: each run gets its own workload
- * copy, a fresh controller from its factory, and (optionally) an RNG
- * seed derived deterministically from the (benchmark, config) pair.
+ * configuration x controller) points. The engine plans a list of
+ * RunPoints into warmup groups (sim/plan.hh), runs one group per task
+ * on a fixed-size worker pool, and collects the SimResults in
+ * submission order. Results are bit-identical regardless of thread
+ * count or scheduling order: each group gets its own workload copy, a
+ * fresh controller from its factory, and (optionally) an RNG seed
+ * derived deterministically from the (benchmark, config) pair.
  *
  * The sweep-level JSON report (sweepReportJson) captures run metadata,
  * per-run metrics, and wall-clock + aggregate statistics, giving every
@@ -42,12 +43,13 @@ struct RunPoint {
     std::uint64_t warmup = defaultWarmup;
     std::uint64_t measure = defaultMeasure;
     /**
-     * Identity key of makeController's output, used by the batched
-     * driver to decide warmup sharing: two points may share one warmup
-     * (and its snapshot) only when their controller keys are equal and
+     * Identity key of makeController's output, used by planSweep() to
+     * decide warmup sharing: two points may share one warmup (and its
+     * snapshot) only when their controller keys are equal and
      * non-empty, or when neither has a controller. std::function is
      * opaque, so points with a controller but an empty key are never
-     * grouped (always correct, just slower). Ignored by runSweep().
+     * grouped, checkpointed or result-cached (always correct, just
+     * slower).
      */
     std::string controllerKey;
     /**
@@ -95,7 +97,11 @@ struct SweepOptions {
 struct SweepRun {
     SimResult result;
     std::uint64_t seed = 0;      ///< workload seed actually used
-    double wallSeconds = 0.0;    ///< this run alone
+    /** Host time this run needed. A warmup group's lead also carries
+     *  the group's controller and processor construction and its
+     *  warmup or restore, so the sum over runs covers the sweep's
+     *  work. */
+    double wallSeconds = 0.0;
     /** Warmup was restored from the checkpoint store, not simulated. */
     bool warmStart = false;
 };
@@ -121,32 +127,17 @@ std::uint64_t sweepSeed(std::uint64_t base, const std::string &benchmark,
 /**
  * Execute all points on a worker pool and return results in submission
  * order. Bit-identical output for any thread count.
+ *
+ * Each plan group is one pool task. A lone point without a checkpoint
+ * key streams straight from the synthetic generator (runSimulation()).
+ * Any other group replays one pre-generated instruction stream into one
+ * processor, warms it up once (or restores the warmup from
+ * SweepOptions::checkpoints), and measures every member from that
+ * post-warmup state, restoring a snapshot between members. The group's
+ * shape picks the path; the report bytes are the same either way.
  */
 SweepResult runSweep(const std::vector<RunPoint> &points,
                      const SweepOptions &opts = {});
-
-/**
- * Batched sweep: same contract and bit-identical results as
- * runSweep(), but amortizes shared work across points instead of
- * running each in isolation.
- *
- *  - Points whose (workload spec, derived seed) match replay one
- *    pre-generated instruction stream (a ReplayBuffer) instead of
- *    re-generating it per point.
- *  - Points that additionally match in (config, warmup, controller
- *    key) run warmup once: the post-warmup processor state is
- *    snapshotted and restored per point, so only the measurement
- *    windows are simulated separately. Instances of a batch are
- *    stepped round-robin in instruction slices for cache locality.
- *
- * Grouping is purely an execution strategy: per-point seeding, result
- * order, and the JSON report are byte-for-byte those of runSweep().
- * Sweeps whose points share nothing (e.g. derived seeds make every
- * stream unique) degrade gracefully to near-runSweep behaviour.
- * Batches run on the same worker pool, one batch per task.
- */
-SweepResult runSweepBatched(const std::vector<RunPoint> &points,
-                            const SweepOptions &opts = {});
 
 /** Serialize one SimResult as a JSON object. */
 void toJson(JsonWriter &w, const SimResult &r);

@@ -13,9 +13,11 @@
  *    inert for unkeyed points;
  *  - corrupted, truncated, and stale-version blobs degrade to a miss
  *    and a recompute, never a wrong report;
- *  - cold-then-warm runSweep and runSweepBatched produce byte-identical
- *    deterministic reports, with warm starts actually taken (and the
- *    in-flight dedup lease serializing concurrent cold computes).
+ *  - cold-then-warm runSweep produces deterministic reports
+ *    byte-identical to the per-point runSimulation() reference, with
+ *    warm starts actually taken, whether a checkpoint was written by a
+ *    multi-member warmup group or a lone point (and the in-flight
+ *    dedup lease serializing concurrent cold computes).
  */
 
 #include <gtest/gtest.h>
@@ -44,6 +46,7 @@
 #include "sim/plan.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
+#include "sweep_reference.hh"
 #include "workload/replay.hh"
 #include "workload/synthetic.hh"
 
@@ -111,7 +114,7 @@ straightLine(const ProcessorConfig &cfg,
 }
 
 /** A small grid whose points all share one stream (deriveSeeds=false),
- *  so the batched driver forms real warmup groups. */
+ *  so the plan forms real warmup groups. */
 std::vector<RunPoint>
 sharedStreamPoints()
 {
@@ -430,24 +433,22 @@ warmCount(const SweepResult &res)
 TEST(Checkpoint, ColdThenWarmSweepByteIdentical)
 {
     std::vector<RunPoint> points = sharedStreamPoints();
-    SweepOptions plain;
-    plain.threads = 1;
-    plain.deriveSeeds = false;
-    std::string baseline = sweepReportJson(
-        "ckpt", points, runSweep(points, plain), false);
+    std::string baseline = perPointReport("ckpt", points, false);
 
     TempDir dir;
     WarmupCheckpointStore store(dir.path());
-    SweepOptions opts = plain;
+    SweepOptions opts;
+    opts.threads = 1;
+    opts.deriveSeeds = false;
     opts.checkpoints = &store;
 
     // Cold: four of the six points are keyed ("ctrl-unkeyed" and
-    // "no-warmup" are not), and the two 4000-warmup static points share
-    // one identity -- so three distinct blobs land on disk, and the
-    // second sharer already warm-starts from the first one's store
-    // (cross-point dedup working within a single cold sweep).
+    // "no-warmup" are not), and the two 4000-warmup static points form
+    // one warmup group -- so three distinct blobs land on disk, and no
+    // point warm-starts (the group's second member measures from the
+    // warmup its lead just simulated).
     SweepResult cold = runSweep(points, opts);
-    EXPECT_EQ(warmCount(cold), 1u);
+    EXPECT_EQ(warmCount(cold), 0u);
     EXPECT_EQ(baseline, sweepReportJson("ckpt", points, cold, false));
     std::uint64_t entries = 0, bytes = 0;
     store.diskUsage(entries, bytes);
@@ -458,7 +459,7 @@ TEST(Checkpoint, ColdThenWarmSweepByteIdentical)
     SweepResult warm = runSweep(points, opts);
     EXPECT_EQ(warmCount(warm), 4u);
     EXPECT_EQ(baseline, sweepReportJson("ckpt", points, warm, false));
-    EXPECT_GE(store.stats().hits, 4u);
+    EXPECT_EQ(store.stats().hits, 3u); // one restore per keyed group
 
     // Warm, multi-threaded: same bytes.
     SweepOptions threaded = opts;
@@ -470,45 +471,51 @@ TEST(Checkpoint, ColdThenWarmSweepByteIdentical)
 
 TEST(Checkpoint, ColdThenWarmBatchedByteIdentical)
 {
+    // A checkpoint's key is the warmup identity, not the group shape
+    // that wrote it: blobs stored by a multi-member group warm lone
+    // points, and blobs stored by lone points warm the group.
     std::vector<RunPoint> points = sharedStreamPoints();
-    SweepOptions plain;
-    plain.threads = 1;
-    plain.deriveSeeds = false;
-    std::string baseline = sweepReportJson(
-        "ckpt", points, runSweepBatched(points, plain), false);
+    std::string baseline = perPointReport("ckpt", points, false);
+    auto alone = [&](WarmupCheckpointStore &store) {
+        SweepResult res;
+        for (const RunPoint &p : points) {
+            SweepOptions opts;
+            opts.threads = 1;
+            opts.deriveSeeds = false;
+            opts.checkpoints = &store;
+            res.runs.push_back(runSweep({p}, opts).runs[0]);
+        }
+        return res;
+    };
+    SweepOptions grouped;
+    grouped.threads = 4;
+    grouped.deriveSeeds = false;
 
+    // Grouped cold on four workers, then every point as its own sweep.
     TempDir dir;
     WarmupCheckpointStore store(dir.path());
-    SweepOptions opts = plain;
-    opts.checkpoints = &store;
-
-    SweepResult cold = runSweepBatched(points, opts);
+    grouped.checkpoints = &store;
+    SweepResult cold = runSweep(points, grouped);
     EXPECT_EQ(warmCount(cold), 0u);
+    EXPECT_EQ(store.stats().stores, 3u);
     EXPECT_EQ(baseline, sweepReportJson("ckpt", points, cold, false));
-    EXPECT_GT(store.stats().stores, 0u);
+    SweepResult lone = alone(store);
+    EXPECT_EQ(warmCount(lone), 4u);
+    EXPECT_EQ(baseline, sweepReportJson("ckpt", points, lone, false));
 
-    SweepResult warm = runSweepBatched(points, opts);
-    EXPECT_EQ(warmCount(warm), 4u);
-    EXPECT_EQ(baseline, sweepReportJson("ckpt", points, warm, false));
-
-    // Checkpoints written by the unbatched engine warm the batched one
-    // and vice versa -- the key is the identity, not the driver.
+    // Lone points cold (both shared-stream sharers are keyed alike, so
+    // the second restores the first one's blob), then grouped.
     TempDir dir2;
     WarmupCheckpointStore cross(dir2.path());
-    SweepOptions copts = plain;
-    copts.checkpoints = &cross;
-    runSweep(points, copts);
-    SweepResult crossed = runSweepBatched(points, copts);
+    SweepResult lone_cold = alone(cross);
+    EXPECT_EQ(warmCount(lone_cold), 1u);
+    EXPECT_EQ(baseline,
+              sweepReportJson("ckpt", points, lone_cold, false));
+    grouped.checkpoints = &cross;
+    SweepResult crossed = runSweep(points, grouped);
     EXPECT_EQ(warmCount(crossed), 4u);
     EXPECT_EQ(baseline,
               sweepReportJson("ckpt", points, crossed, false));
-
-    // And batched parallel stays byte-identical warm.
-    SweepOptions threaded = opts;
-    threaded.threads = 4;
-    EXPECT_EQ(baseline,
-              sweepReportJson("ckpt", points,
-                              runSweepBatched(points, threaded), false));
 }
 
 TEST(Checkpoint, CorruptStaleAndSaltedBlobsRecompute)
@@ -517,8 +524,7 @@ TEST(Checkpoint, CorruptStaleAndSaltedBlobsRecompute)
     SweepOptions plain;
     plain.threads = 1;
     plain.deriveSeeds = false;
-    std::string baseline = sweepReportJson(
-        "ckpt", points, runSweep(points, plain), false);
+    std::string baseline = perPointReport("ckpt", points, false);
 
     TempDir dir;
     WarmupCheckpointStore store(dir.path());
@@ -528,11 +534,9 @@ TEST(Checkpoint, CorruptStaleAndSaltedBlobsRecompute)
 
     // Corrupt every blob on disk: the sha mismatch degrades each load
     // to a miss, the sweep recomputes, and the report must not change.
-    // (The one warm start is the shared-identity point restoring the
-    // blob its sibling just re-stored, not a corrupt one.)
     ASSERT_EQ(corruptAllBlobs(dir.path()), 3u);
     SweepResult after = runSweep(points, opts);
-    EXPECT_EQ(warmCount(after), 1u);
+    EXPECT_EQ(warmCount(after), 0u);
     EXPECT_EQ(baseline, sweepReportJson("ckpt", points, after, false));
     EXPECT_GE(store.stats().corrupt, 3u);
 
@@ -549,18 +553,17 @@ TEST(Checkpoint, CorruptStaleAndSaltedBlobsRecompute)
     SweepResult versioned = runSweep(points, opts);
     EXPECT_EQ(baseline,
               sweepReportJson("ckpt", points, versioned, false));
-    // Point 0 rejects the stale blob and recomputes (overwriting it
-    // with a good one, which its identity-sharing sibling then warms
-    // from); the other two keyed points warm-start normally.
-    EXPECT_EQ(warmCount(versioned), 3u);
+    // Point 0's group rejects the stale blob and recomputes its warmup
+    // for both members (overwriting the blob with a good one); the
+    // other two keyed points warm-start normally.
+    EXPECT_EQ(warmCount(versioned), 2u);
 
     // A salt bump re-addresses everything: full recompute, same bytes.
-    // (Again the sharer warms from its sibling's fresh store.)
     WarmupCheckpointStore salted(dir.path(), "bumped-salt-v2");
     SweepOptions sopts = plain;
     sopts.checkpoints = &salted;
     SweepResult resalted = runSweep(points, sopts);
-    EXPECT_EQ(warmCount(resalted), 1u);
+    EXPECT_EQ(warmCount(resalted), 0u);
     EXPECT_EQ(baseline,
               sweepReportJson("ckpt", points, resalted, false));
 }

@@ -199,48 +199,6 @@ TEST(Stats, AverageEmptyIsZero)
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
 }
 
-TEST(Stats, HistogramBucketsAndMean)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 10; i++)
-        h.sample(i + 0.5);
-    EXPECT_EQ(h.totalSamples(), 10u);
-    EXPECT_NEAR(h.mean(), 5.0, 1e-9);
-    for (auto b : h.buckets())
-        EXPECT_EQ(b, 1u);
-}
-
-TEST(Stats, HistogramClampsOutliers)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.sample(-5.0);
-    h.sample(50.0);
-    EXPECT_EQ(h.buckets().front(), 1u);
-    EXPECT_EQ(h.buckets().back(), 1u);
-}
-
-TEST(Stats, HistogramFractionAtLeast)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 10; i++)
-        h.sample(i + 0.5);
-    EXPECT_NEAR(h.fractionAtLeast(5.0), 0.5, 1e-9);
-    EXPECT_NEAR(h.fractionAtLeast(0.0), 1.0, 1e-9);
-}
-
-TEST(Stats, StatSetRoundTrip)
-{
-    StatSet s;
-    s.set("ipc", 1.5);
-    s.set("cycles", 100);
-    EXPECT_TRUE(s.has("ipc"));
-    EXPECT_FALSE(s.has("nope"));
-    EXPECT_DOUBLE_EQ(s.get("ipc"), 1.5);
-    s.set("ipc", 2.0); // overwrite keeps one entry
-    EXPECT_DOUBLE_EQ(s.get("ipc"), 2.0);
-    EXPECT_EQ(s.entries().size(), 2u);
-}
-
 TEST(Stats, GeomeanAndAmean)
 {
     std::vector<double> v = {1.0, 4.0};

@@ -316,23 +316,41 @@ TEST(Decentralized, PerfectBankPredictionHelps)
 // Sensitivity configurations run end-to-end (Section 6)
 // ---------------------------------------------------------------------------
 
+// A named preset. It prints as its name: a bare function pointer
+// prints its address, which would leak into the test names and change
+// from build to build and run to run.
+struct SensitivityVariant
+{
+    const char *name;
+    ProcessorConfig (*make)();
+};
+
+void
+PrintTo(const SensitivityVariant &v, std::ostream *os)
+{
+    *os << v.name;
+}
+
 class SensitivitySmoke
-    : public ::testing::TestWithParam<ProcessorConfig (*)()>
+    : public ::testing::TestWithParam<SensitivityVariant>
 {
 };
 
 TEST_P(SensitivitySmoke, RunsGzip)
 {
     WorkloadSpec w = makeBenchmark("gzip");
-    SimResult r = runSimulation(GetParam()(), w, nullptr, kWarm, 60000);
+    SimResult r =
+        runSimulation(GetParam().make(), w, nullptr, kWarm, 60000);
     EXPECT_GT(r.ipc, 0.05);
 }
 
-INSTANTIATE_TEST_SUITE_P(Variants, SensitivitySmoke,
-                         ::testing::Values(&fewerResourcesConfig,
-                                           &moreResourcesConfig,
-                                           &moreFusConfig,
-                                           &slowHopsConfig));
+INSTANTIATE_TEST_SUITE_P(
+    Variants, SensitivitySmoke,
+    ::testing::Values(
+        SensitivityVariant{"fewerResources", &fewerResourcesConfig},
+        SensitivityVariant{"moreResources", &moreResourcesConfig},
+        SensitivityVariant{"moreFus", &moreFusConfig},
+        SensitivityVariant{"slowHops", &slowHopsConfig}));
 
 TEST(Sensitivity, SlowHopsHurtSixteenClusters)
 {

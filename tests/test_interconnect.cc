@@ -220,16 +220,19 @@ TEST(Network, GridNetworkRoutes)
 // Property tests over both topologies
 // ---------------------------------------------------------------------------
 
-class TopologyProperty
-    : public ::testing::TestWithParam<std::pair<const char *, int>>
+// (kind, nodes). The kind is a std::string so the parameter prints by
+// value: a const char * prints its address, which would leak into the
+// test names and change from build to build and run to run.
+using TopologyShape = std::pair<std::string, int>;
+
+class TopologyProperty : public ::testing::TestWithParam<TopologyShape>
 {
   protected:
     std::unique_ptr<Topology>
     make() const
     {
         auto [kind, nodes] = GetParam();
-        return std::string(kind) == "ring" ? makeRing(nodes)
-                                           : makeGrid(nodes);
+        return kind == "ring" ? makeRing(nodes) : makeGrid(nodes);
     }
 };
 
@@ -322,6 +325,6 @@ TEST(TopologyPaper, PinnedHopMaximaByExhaustion)
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, TopologyProperty,
-    ::testing::Values(std::pair{"ring", 4}, std::pair{"ring", 16},
-                      std::pair{"grid", 16}, std::pair{"grid", 8},
-                      std::pair{"ring", 5}, std::pair{"grid", 12}));
+    ::testing::Values(TopologyShape{"ring", 4}, TopologyShape{"ring", 16},
+                      TopologyShape{"grid", 16}, TopologyShape{"grid", 8},
+                      TopologyShape{"ring", 5}, TopologyShape{"grid", 12}));

@@ -974,16 +974,15 @@ TEST(Serve, PlanSweepCoversEveryPointExactlyOnce)
         std::vector<RunPoint> points = makeSweepPreset(name);
         SweepPlan plan = planSweep(points, true);
         std::vector<int> seen(points.size(), 0);
-        for (const SweepPlan::Batch &b : plan.batches)
-            for (const SweepPlan::Group &g : b.groups) {
-                // Group members arrive in submission order.
-                for (std::size_t j = 1; j < g.members.size(); j++)
-                    EXPECT_LT(g.members[j - 1], g.members[j]);
-                for (std::size_t idx : g.members) {
-                    ASSERT_LT(idx, seen.size());
-                    seen[idx]++;
-                }
+        for (const SweepPlan::Group &g : plan.groups) {
+            // Group members arrive in submission order.
+            for (std::size_t j = 1; j < g.members.size(); j++)
+                EXPECT_LT(g.members[j - 1], g.members[j]);
+            for (std::size_t idx : g.members) {
+                ASSERT_LT(idx, seen.size());
+                seen[idx]++;
             }
+        }
         for (std::size_t i = 0; i < seen.size(); i++)
             EXPECT_EQ(seen[i], 1)
                 << name << ": point " << i << " planned " << seen[i]
@@ -994,8 +993,8 @@ TEST(Serve, PlanSweepCoversEveryPointExactlyOnce)
 TEST(Serve, PlanSweepGroupsSharedStreamsDeterministically)
 {
     // Hand-built points: a/b share workload+seed+config+warmup (one
-    // group), c shares the stream but differs in config (second group,
-    // same batch), d is a different stream entirely (second batch).
+    // group), c shares the stream but differs in config (second group),
+    // d is a different stream entirely (third group).
     std::vector<RunPoint> points = makeSweepPreset("smoke", 500, 2000);
     ASSERT_GE(points.size(), 2u);
     RunPoint a = points[0];
@@ -1008,35 +1007,24 @@ TEST(Serve, PlanSweepGroupsSharedStreamsDeterministically)
     std::vector<RunPoint> custom = {a, b, c, d};
 
     SweepPlan plan = planSweep(custom, /*derive_seeds=*/false);
-    ASSERT_EQ(plan.batches.size(), 2u);
-    ASSERT_EQ(plan.batches[0].groups.size(), 2u);
-    EXPECT_EQ(plan.batches[0].groups[0].members,
-              (std::vector<std::size_t>{0, 1}));
-    EXPECT_EQ(plan.batches[0].groups[1].members,
-              (std::vector<std::size_t>{2}));
-    ASSERT_EQ(plan.batches[1].groups.size(), 1u);
-    EXPECT_EQ(plan.batches[1].groups[0].members,
-              (std::vector<std::size_t>{3}));
+    ASSERT_EQ(plan.groups.size(), 3u);
+    EXPECT_EQ(plan.groups[0].members, (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(plan.groups[1].members, (std::vector<std::size_t>{2}));
+    EXPECT_EQ(plan.groups[2].members, (std::vector<std::size_t>{3}));
 
     // The plan is a pure function of its input.
     SweepPlan again = planSweep(custom, false);
-    ASSERT_EQ(again.batches.size(), plan.batches.size());
-    for (std::size_t i = 0; i < plan.batches.size(); i++) {
-        ASSERT_EQ(again.batches[i].groups.size(),
-                  plan.batches[i].groups.size());
-        for (std::size_t j = 0; j < plan.batches[i].groups.size(); j++)
-            EXPECT_EQ(again.batches[i].groups[j].members,
-                      plan.batches[i].groups[j].members);
-    }
+    ASSERT_EQ(again.groups.size(), plan.groups.size());
+    for (std::size_t i = 0; i < plan.groups.size(); i++)
+        EXPECT_EQ(again.groups[i].members, plan.groups[i].members);
 
     // With derived seeds a and c get different per-point seeds (labels
-    // differ), splitting the stream into more batches -- but coverage
+    // differ), splitting the stream into more groups -- but coverage
     // still holds.
     SweepPlan derived = planSweep(custom, true);
     std::size_t covered = 0;
-    for (const SweepPlan::Batch &bb : derived.batches)
-        for (const SweepPlan::Group &g : bb.groups)
-            covered += g.members.size();
+    for (const SweepPlan::Group &g : derived.groups)
+        covered += g.members.size();
     EXPECT_EQ(covered, custom.size());
 }
 

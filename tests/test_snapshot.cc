@@ -1,6 +1,6 @@
 /**
  * @file
- * Checkpoint/restore and batched-sweep correctness.
+ * Checkpoint/restore and warmup-group sweep correctness.
  *
  * Three layers, each depending on the previous one:
  *  - the ReplayBuffer reproduces the synthetic generator's stream
@@ -9,10 +9,10 @@
  *  - a restored post-warmup snapshot continues bit-identically to the
  *    uninterrupted run, across every controller family and both
  *    interconnect topologies, and restores any number of times;
- *  - the batched sweep driver's report is byte-for-byte the unbatched
- *    engine's, including when warmup-sharing groups actually form
- *    (the smoke preset derives a distinct seed per point, so it never
- *    exercises the multi-member snapshot-restore path on its own).
+ *  - runSweep()'s report is byte-for-byte the per-point runSimulation()
+ *    reference, including when multi-member warmup groups actually
+ *    form (the smoke preset derives a distinct seed per point, so it
+ *    never exercises the shared-warmup restore path on its own).
  */
 
 #include <gtest/gtest.h>
@@ -25,8 +25,10 @@
 #include <vector>
 
 #include "core/processor.hh"
+#include "sim/plan.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
+#include "sweep_reference.hh"
 #include "workload/replay.hh"
 #include "workload/synthetic.hh"
 
@@ -177,35 +179,32 @@ TEST(Snapshot, RestoredRunMatchesStraightLine)
 }
 
 // ---------------------------------------------------------------------------
-// Batched sweep
+// Warmup groups: runSweep() against the per-point reference
 // ---------------------------------------------------------------------------
 
 TEST(Batched, SmokePresetReportByteIdenticalToUnbatched)
 {
     // Derived seeds make every smoke point's stream unique, so this
-    // covers the degenerate one-member-per-batch path at both thread
-    // counts (the CI differential runs the same property through the
+    // covers the one-member-group streaming path at both thread counts
+    // (the CI thread-count diff runs the same property through the
     // sweep tool).
     std::vector<RunPoint> points = makeSweepPreset("smoke", 5000, 20000);
-    SweepOptions serial;
-    serial.threads = 1;
-    SweepOptions parallel;
-    parallel.threads = 4;
-    std::string plain = sweepReportJson("smoke", points,
-                                        runSweep(points, serial), false);
-    EXPECT_EQ(plain, sweepReportJson("smoke", points,
-                                     runSweepBatched(points, serial),
-                                     false));
-    EXPECT_EQ(plain, sweepReportJson("smoke", points,
-                                     runSweepBatched(points, parallel),
-                                     false));
+    std::string reference = perPointReport("smoke", points, true);
+    for (int threads : {1, 4}) {
+        SweepOptions opts;
+        opts.threads = threads;
+        EXPECT_EQ(reference,
+                  sweepReportJson("smoke", points,
+                                  runSweep(points, opts), false))
+            << threads << " thread(s)";
+    }
 }
 
 TEST(Batched, WarmupSharingGroupsMatchUnbatched)
 {
     // deriveSeeds=false gives every point the same instruction stream,
-    // so the driver actually forms multi-member warmup groups and
-    // serves the non-lead members through snapshot restores:
+    // so the plan forms multi-member warmup groups and runSweep serves
+    // the non-lead members through snapshot restores:
     //  - four controller-less points sharing (config, warmup) but
     //    differing in measure length;
     //  - two controller points sharing a non-empty controllerKey (the
@@ -239,20 +238,23 @@ TEST(Batched, WarmupSharingGroupsMatchUnbatched)
     add("ctrl-unkeyed", 5000, 15000, true, "");
     add("other-warmup", 2000, 20000, false, "");
 
-    SweepOptions opts;
-    opts.threads = 1;
-    opts.deriveSeeds = false;
-    std::string plain =
-        sweepReportJson("grouped", points, runSweep(points, opts), false);
-    std::string batched = sweepReportJson(
-        "grouped", points, runSweepBatched(points, opts), false);
-    EXPECT_EQ(plain, batched);
+    SweepPlan plan = planSweep(points, /*derive_seeds=*/false);
+    ASSERT_EQ(plan.groups.size(), 4u);
+    EXPECT_EQ(plan.groups[0].members,
+              (std::vector<std::size_t>{0, 1, 2, 3}));
+    EXPECT_EQ(plan.groups[1].members, (std::vector<std::size_t>{4, 5}));
+    EXPECT_EQ(plan.groups[2].members, (std::vector<std::size_t>{6}));
+    EXPECT_EQ(plan.groups[3].members, (std::vector<std::size_t>{7}));
 
-    // Same grid on several workers: grouping must not depend on which
-    // thread warms which batch.
-    SweepOptions threaded = opts;
-    threaded.threads = 4;
-    EXPECT_EQ(plain,
-              sweepReportJson("grouped", points,
-                              runSweepBatched(points, threaded), false));
+    // Grouping must not depend on which worker runs which group.
+    std::string reference = perPointReport("grouped", points, false);
+    for (int threads : {1, 4}) {
+        SweepOptions opts;
+        opts.threads = threads;
+        opts.deriveSeeds = false;
+        EXPECT_EQ(reference,
+                  sweepReportJson("grouped", points,
+                                  runSweep(points, opts), false))
+            << threads << " thread(s)";
+    }
 }

@@ -16,9 +16,12 @@
 
 #include "common/json.hh"
 #include "reconfig/interval_explore.hh"
+#include "reconfig/registry.hh"
+#include "sim/oracle_policy.hh"
 #include "sim/plan.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
+#include "sweep_reference.hh"
 
 using namespace clustersim;
 
@@ -486,16 +489,14 @@ TEST(Tournament, ReportByteIdenticalAcrossEnginesAndRanked)
 {
     std::vector<RunPoint> points =
         makeSweepPreset("tournament", 1000, 2000);
-    SweepOptions serial;
-    serial.threads = 1;
-    SweepOptions parallel;
-    parallel.threads = 4;
-    std::string a = sweepReportJson("tournament", points,
-                                    runSweep(points, serial), false);
-    std::string b =
-        sweepReportJson("tournament", points,
-                        runSweepBatched(points, parallel), false);
-    EXPECT_EQ(a, b);
+    std::string a = perPointReport("tournament", points, true);
+    for (int threads : {1, 4}) {
+        SweepOptions opts;
+        opts.threads = threads;
+        EXPECT_EQ(a, sweepReportJson("tournament", points,
+                                     runSweep(points, opts), false))
+            << threads << " thread(s)";
+    }
 
     // The tournament report carries the ranked table: one row per
     // policy with the scoring fields.
@@ -509,6 +510,40 @@ TEST(Tournament, ReportByteIdenticalAcrossEnginesAndRanked)
         EXPECT_NE(a.find("\"policy\":\"" + std::string(policy) + "\""),
                   std::string::npos)
             << policy;
+}
+
+TEST(Tournament, OracleScoresByExactIpcNotFewestCycles)
+{
+    // Regression, djpeg on seed replica 5 of base seed 1006 at 20K
+    // warmup + 20K measure: the fewest-cycles candidate (12712 cycles
+    // for 20002 instructions) reports a lower IPC than ivl-ilp-10K
+    // (12715 cycles for 20007), because the reported IPC also counts
+    // the commit overshoot past the window's end. The oracle must
+    // score candidates as the report does.
+    registerOraclePolicy();
+    const std::uint64_t warmup = 20000, measure = 20000;
+    WorkloadSpec w = makeBenchmark("djpeg");
+    w.seed = sweepSeed(sweepSeed(1006, "djpeg", "replica-5"), "djpeg",
+                       "tournament");
+    ProcessorConfig cfg = clusteredConfig(16);
+
+    auto ivl = makeController("ivl-ilp", {{"interval", "10000"}}).make();
+    SimResult reactive = runSimulation(cfg, w, ivl.get(), warmup, measure);
+    ASSERT_EQ(reactive.instructions, 20007u);
+    ASSERT_EQ(reactive.cycles, 12715u);
+
+    auto oracle = makeController("oracle",
+                                 {{"bench", "djpeg"},
+                                  {"seed", std::to_string(w.seed)},
+                                  {"horizon", "40000"},
+                                  {"warmup", "20000"},
+                                  {"interval", "1000"}})
+                      .make();
+    SimResult best = runSimulation(cfg, w, oracle.get(), warmup, measure);
+    EXPECT_GE(best.instructions * reactive.cycles,
+              reactive.instructions * best.cycles)
+        << best.instructions << " insts / " << best.cycles << " cycles";
+    EXPECT_GE(best.ipc, reactive.ipc);
 }
 
 TEST(Tournament, OracleBoundsEveryReactivePolicyPerBenchmark)
