@@ -112,28 +112,15 @@ class SlotReserver
 
     std::size_t window() const { return slots_.size(); }
 
-    // simlint: cold-begin -- checkpoint serialization (see
-    // core/snapshot_io.hh); never runs on the simulated path
-    template <typename W>
-    void
-    save(W &w) const
+    // simlint: cold-begin -- checkpointed fields (see
+    // core/snapshot_io.hh); never runs on the simulated path. The
+    // window is construction-time shape: sizes must agree.
+    template <class Self, class A>
+    static bool
+    io(Self &r, A &a)
     {
-        w.u64(slots_.size());
-        for (Cycle c : slots_)
-            w.u64(c);
-    }
-
-    /** The window is construction-time shape: sizes must agree. */
-    template <typename R>
-    bool
-    load(R &r)
-    {
-        std::uint64_t n = r.u64();
-        if (!r.ok() || n != slots_.size())
-            return false;
-        for (Cycle &c : slots_)
-            c = r.u64();
-        return r.ok();
+        a.fixed(r.slots_);
+        return a.ok();
     }
     // simlint: cold-end
 

@@ -52,27 +52,16 @@ class SatCounter
     std::uint8_t value() const { return value_; }
     std::uint8_t max() const { return max_; }
 
-    // Checkpoint serialization (see core/snapshot_io.hh). The width is
+    // Checkpointed fields (see core/snapshot_io.hh). The width is
     // construction-time shape: a stored counter must agree with the
     // in-memory one it is loaded into.
-    template <typename W>
-    void
-    save(W &w) const
+    template <class Self, class A>
+    static bool
+    io(Self &c, A &a)
     {
-        w.u8(max_);
-        w.u8(value_);
-    }
-
-    template <typename R>
-    bool
-    load(R &r)
-    {
-        std::uint8_t m = r.u8();
-        std::uint8_t v = r.u8();
-        if (!r.ok() || m != max_ || v > m)
-            return false;
-        value_ = v;
-        return true;
+        a.shape(c.max_);
+        a.bounded(c.value_, 0, c.max_);
+        return a.ok();
     }
 
   private:

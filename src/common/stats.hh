@@ -22,21 +22,14 @@ class Counter
     void reset() { value_ = 0; }
     std::uint64_t value() const { return value_; }
 
-    // Checkpoint serialization (see core/snapshot_io.hh). Templated so
-    // this header stays dependency-free.
-    template <typename W>
-    void
-    save(W &w) const
+    // Checkpointed fields (see core/snapshot_io.hh). Templated on the
+    // archive so this header stays dependency-free.
+    template <class Self, class A>
+    static bool
+    io(Self &c, A &a)
     {
-        w.u64(value_);
-    }
-
-    template <typename R>
-    bool
-    load(R &r)
-    {
-        value_ = r.u64();
-        return r.ok();
+        a.field(c.value_);
+        return a.ok();
     }
 
   private:

@@ -15,9 +15,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * A cluster's structural resources. Occupancy counters change at
  * dispatch (allocate) and at scheduled issue/commit events (release);
@@ -75,9 +72,8 @@ class Cluster
 
     const ClusterParams &params() const { return params_; }
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     SlotReserver &unitFor(OpClass op);

@@ -119,71 +119,30 @@ class CalendarQueue
     bool empty() const { return size_ == 0; }
     Cycle drainedUntil() const { return drained_; }
 
-    // simlint: cold-begin -- checkpoint serialization (see
+    // simlint: cold-begin -- checkpointed fields (see
     // core/snapshot_io.hh). Bucket phase is part of the state (cycle
     // keys are implicit in bucket indices relative to drained_), so the
     // per-bucket layout is preserved exactly. Element encoding is the
-    // caller's via the callbacks: T may be a private type of the owner
-    // (the processor's IqEvent), which the owner's callback can name.
-    template <typename W, typename Fn>
-    void
-    save(W &w, Fn &&elem) const
+    // caller's via `elem`: T may be a private type of the owner (the
+    // processor's IqEvent), which the owner's callback can name.
+    template <class Self, class A, class Fn>
+    static bool
+    io(Self &q, A &a, Fn &&elem)
     {
-        w.u64(drained_);
-        w.u64(overflowMin_);
-        w.u64(size_);
-        for (const auto &bucket : buckets_) {
-            w.u64(bucket.size());
-            for (const T &ev : bucket)
-                elem(w, ev);
+        a.field(q.drained_);
+        a.field(q.overflowMin_);
+        a.field(q.size_);
+        std::size_t seen = 0;
+        for (auto &bucket : q.buckets_) {
+            a.seq(bucket, q.size_ - seen, elem);
+            seen += bucket.size();
         }
-        w.u64(overflow_.size());
-        for (const auto &p : overflow_) {
-            w.u64(p.first);
-            elem(w, p.second);
-        }
-    }
-
-    template <typename R, typename Fn>
-    bool
-    load(R &r, Fn &&elem)
-    {
-        Cycle drained = r.u64();
-        Cycle overflow_min = r.u64();
-        std::uint64_t total = r.u64();
-        if (!r.ok())
-            return false;
-        std::uint64_t seen = 0;
-        for (auto &bucket : buckets_) {
-            std::uint64_t n = r.u64();
-            if (!r.ok() || n > total - seen)
-                return false;
-            bucket.clear();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                T ev{};
-                if (!elem(r, ev))
-                    return false;
-                bucket.push_back(ev);
-            }
-            seen += n;
-        }
-        std::uint64_t spilled = r.u64();
-        if (!r.ok() || seen + spilled != total)
-            return false;
-        overflow_.clear();
-        for (std::uint64_t i = 0; i < spilled; ++i) {
-            Cycle c = r.u64();
-            T ev{};
-            if (!elem(r, ev))
-                return false;
-            overflow_.emplace_back(c, ev);
-        }
-        if (!r.ok())
-            return false;
-        drained_ = drained;
-        overflowMin_ = overflow_min;
-        size_ = static_cast<std::size_t>(total);
-        return true;
+        a.seq(q.overflow_, q.size_ - seen, [&](auto &p) {
+            a.field(p.first);
+            elem(p.second);
+        });
+        a.check(seen + q.overflow_.size() == q.size_);
+        return a.ok();
     }
     // simlint: cold-end
 

@@ -41,9 +41,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Aggregate end-of-run statistics. */
 struct ProcessorStats {
     Cycle cycles = 0;
@@ -306,16 +303,16 @@ struct Processor::Snapshot {
     std::unique_ptr<ReconfigController> controller;
 
     /**
-     * Serialize into a deterministic, versioned byte stream (defined in
-     * core/snapshot_io.cc). load() deserializes *into* this snapshot,
+     * The serialized fields, a deterministic, versioned byte stream
+     * (defined and instantiated for SnapshotWriter and SnapshotReader in
+     * core/snapshot_io.cc). Reading deserializes *into* this snapshot,
      * which must have been captured from a processor built with the
      * same configuration (the "donor"): config-sized containers keep
      * their shapes and are shape-verified, dynamic state is replaced.
      * Returns false -- leaving the snapshot unusable -- on any
      * malformed, truncated, or version-mismatched input.
      */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    template <class Self, class A> static bool io(Self &s, A &a);
 };
 
 } // namespace clustersim

@@ -12,9 +12,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * The ROB. Sequence numbers are assigned densely at dispatch, so lookup
  * is an offset from the head. The simulator is trace-driven with
@@ -72,9 +69,8 @@ class ReorderBuffer
     /** Next sequence number that will be assigned. */
     InstSeqNum nextSeq() const { return nextSeq_; }
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     /** Slot index for the in-flight entry at ring offset off from head. */

@@ -1,29 +1,30 @@
 /**
  * @file
- * Checkpoint (de)serialization for Processor::Snapshot and every
- * component it contains.
+ * The checkpointed fields of Processor::Snapshot and every component it
+ * contains: one io() walk per type, serving both the writer and the
+ * reader (see core/snapshot_io.hh for the archive primitives and the
+ * encoding).
  *
- * Save and load are centralized here (declared as members on each
- * class) so the field coverage is auditable in one place and simlint
- * can cross-check it against Processor::restore (rule S004).
+ * The walks live here, declared as static members on each class, so
+ * the field coverage is auditable in one place and simlint can
+ * cross-check it: every Snapshot member against Processor::restore
+ * (rule S004), every controller data member against its io() (S005).
+ * To checkpoint a new field, add one line to its owner's io() -- and,
+ * since the bytes change, bump snapshotFormatVersion and the
+ * checkpoint salt.
  *
- * Loading is donor-based: the caller captures a snapshot() from a
- * processor built with the same configuration, then load()s the payload
+ * Reading is donor-based: the caller captures a snapshot() from a
+ * processor built with the same configuration and reads the payload
  * into it. Config-derived shapes (table sizes, ring capacities, FU
  * counts) are therefore already correct in the donor and are *verified*
  * rather than resized; a mismatch means the payload came from a
- * different configuration and load fails. Values that are used as
- * indices are range-checked so a malformed payload can never cause an
- * out-of-bounds access later -- it just fails the load, and the
- * checkpoint store falls back to recomputing the warmup.
+ * different configuration and the load fails.
  */
 
 #include "core/snapshot_io.hh"
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "core/cluster.hh"
 #include "core/processor.hh"
@@ -51,1155 +52,528 @@ namespace clustersim {
 
 namespace {
 
-/** Read a bounded signed integer; false when out of [lo, hi]. */
-template <typename I>
-bool
-loadInt(SnapshotReader &r, I &out, std::int64_t lo, std::int64_t hi)
-{
-    std::int64_t v = r.i64();
-    if (!r.ok() || v < lo || v > hi)
-        return false;
-    out = static_cast<I>(v);
-    return true;
-}
-
-/** Read a bounded size/index; false when > hi. */
-bool
-loadSize(SnapshotReader &r, std::size_t &out, std::uint64_t hi)
-{
-    std::uint64_t v = r.u64();
-    if (!r.ok() || v > hi)
-        return false;
-    out = static_cast<std::size_t>(v);
-    return true;
-}
-
-bool
-loadReg(SnapshotReader &r, RegIndex &reg)
-{
-    std::int64_t v = r.i64();
-    if (!r.ok() || v < invalidReg || v >= numLogicalRegs)
-        return false;
-    reg = static_cast<RegIndex>(v);
-    return true;
-}
-
+template <class R, class A>
 void
-saveMicroOp(SnapshotWriter &w, const MicroOp &op)
+reg(A &a, R &r)
 {
-    w.u64(op.pc);
-    w.u8(static_cast<std::uint8_t>(op.op));
-    w.i64(op.src1);
-    w.i64(op.src2);
-    w.i64(op.dest);
-    w.u64(op.effAddr);
-    w.boolean(op.taken);
-    w.u64(op.target);
+    a.bounded(r, invalidReg, numLogicalRegs - 1);
 }
 
-bool
-loadMicroOp(SnapshotReader &r, MicroOp &op)
-{
-    op.pc = r.u64();
-    std::uint8_t oc = r.u8();
-    if (!r.ok() || oc >= static_cast<std::uint8_t>(numOpClasses))
-        return false;
-    op.op = static_cast<OpClass>(oc);
-    if (!loadReg(r, op.src1) || !loadReg(r, op.src2) ||
-        !loadReg(r, op.dest))
-        return false;
-    op.effAddr = r.u64();
-    op.taken = r.boolean();
-    op.target = r.u64();
-    return r.ok();
-}
-
+template <class Op, class A>
 void
-saveValueInfo(SnapshotWriter &w, const ValueInfo &v)
+microOpIo(Op &op, A &a)
 {
-    w.u64(v.producer);
-    w.u64(v.producerPc);
-    w.i64(v.cluster);
-    w.u64(v.completeAt);
-    for (Cycle c : v.availAt)
-        w.u64(c);
+    a.field(op.pc);
+    a.bounded(op.op, 0, numOpClasses - 1);
+    reg(a, op.src1);
+    reg(a, op.src2);
+    reg(a, op.dest);
+    a.field(op.effAddr);
+    a.field(op.taken);
+    a.field(op.target);
 }
 
-bool
-loadValueInfo(SnapshotReader &r, ValueInfo &v)
-{
-    v.producer = r.u64();
-    v.producerPc = r.u64();
-    if (!loadInt(r, v.cluster, 0, maxClusters - 1))
-        return false;
-    v.completeAt = r.u64();
-    for (Cycle &c : v.availAt)
-        c = r.u64();
-    return r.ok();
-}
-
+template <class V, class A>
 void
-saveDynInst(SnapshotWriter &w, const DynInst &d)
+valueInfoIo(V &v, A &a)
 {
-    saveMicroOp(w, d.op);
-    w.u64(d.seq);
-    w.i64(d.cluster);
-    w.u64(d.fetchCycle);
-    w.u64(d.dispatchCycle);
-    w.u64(d.enterIqCycle);
-    w.u64(d.issueCycle);
-    w.u64(d.completeCycle);
-    w.u64(d.srcReady[0]);
-    w.u64(d.srcReady[1]);
-    w.u64(d.srcProducerPc[0]);
-    w.u64(d.srcProducerPc[1]);
-    w.i64(d.pendingSrcs);
-    w.boolean(d.issueScheduled);
-    w.boolean(d.completed);
-    saveValueInfo(w, d.value);
-    d.waiters.save(w, [](SnapshotWriter &ww, const Waiter &wt) {
-        ww.u64(wt.consumer);
-        ww.i64(wt.srcIdx);
+    a.field(v.producer);
+    a.field(v.producerPc);
+    a.bounded(v.cluster, 0, maxClusters - 1);
+    a.field(v.completeAt);
+    a.field(v.availAt);
+}
+
+template <class D, class A>
+void
+dynInstIo(D &d, A &a)
+{
+    microOpIo(d.op, a);
+    a.field(d.seq);
+    a.bounded(d.cluster, invalidCluster, maxClusters - 1);
+    a.field(d.fetchCycle);
+    a.field(d.dispatchCycle);
+    a.field(d.enterIqCycle);
+    a.field(d.issueCycle);
+    a.field(d.completeCycle);
+    a.field(d.srcReady);
+    a.field(d.srcProducerPc);
+    a.bounded(d.pendingSrcs, 0, 2);
+    a.field(d.issueScheduled);
+    a.field(d.completed);
+    valueInfoIo(d.value, a);
+    a.seq(d.waiters, 4096, [&](auto &w) {
+        a.field(w.consumer);
+        a.bounded(w.srcIdx, 0, 1);
     });
-    w.boolean(d.addrGenScheduled);
-    w.u64(d.addrReadyAt);
-    w.u64(d.addrAtBankAt);
-    w.u64(d.storeDataAt);
-    w.i64(d.bank);
-    w.i64(d.predictedBank);
-    w.boolean(d.loadIssuedToCache);
-    w.boolean(d.mispredicted);
-    w.boolean(d.distant);
-    w.i64(d.prevDest);
-    w.i64(d.prevDestCluster);
-    w.boolean(d.prevDestHadReg);
-    w.boolean(d.retryArmed);
+    a.field(d.addrGenScheduled);
+    a.field(d.addrReadyAt);
+    a.field(d.addrAtBankAt);
+    a.field(d.storeDataAt);
+    a.bounded(d.bank, -1, 63);
+    a.bounded(d.predictedBank, -1, 63);
+    a.field(d.loadIssuedToCache);
+    a.field(d.mispredicted);
+    a.field(d.distant);
+    reg(a, d.prevDest);
+    a.bounded(d.prevDestCluster, invalidCluster, maxClusters - 1);
+    a.field(d.prevDestHadReg);
+    a.field(d.retryArmed);
 }
 
-bool
-loadDynInst(SnapshotReader &r, DynInst &d)
+/** Highest valid index of a ring (0 for an empty one). */
+template <class C>
+std::size_t
+lastIndex(const C &c)
 {
-    if (!loadMicroOp(r, d.op))
-        return false;
-    d.seq = r.u64();
-    if (!loadInt(r, d.cluster, invalidCluster, maxClusters - 1))
-        return false;
-    d.fetchCycle = r.u64();
-    d.dispatchCycle = r.u64();
-    d.enterIqCycle = r.u64();
-    d.issueCycle = r.u64();
-    d.completeCycle = r.u64();
-    d.srcReady[0] = r.u64();
-    d.srcReady[1] = r.u64();
-    d.srcProducerPc[0] = r.u64();
-    d.srcProducerPc[1] = r.u64();
-    if (!loadInt(r, d.pendingSrcs, 0, 2))
-        return false;
-    d.issueScheduled = r.boolean();
-    d.completed = r.boolean();
-    if (!loadValueInfo(r, d.value))
-        return false;
-    bool waiters_ok = d.waiters.load(
-        r,
-        [](SnapshotReader &rr, Waiter &wt) {
-            wt.consumer = rr.u64();
-            return loadInt(rr, wt.srcIdx, 0, 1);
-        },
-        4096);
-    if (!waiters_ok)
-        return false;
-    d.addrGenScheduled = r.boolean();
-    d.addrReadyAt = r.u64();
-    d.addrAtBankAt = r.u64();
-    d.storeDataAt = r.u64();
-    if (!loadInt(r, d.bank, -1, 63) ||
-        !loadInt(r, d.predictedBank, -1, 63))
-        return false;
-    d.loadIssuedToCache = r.boolean();
-    d.mispredicted = r.boolean();
-    d.distant = r.boolean();
-    if (!loadReg(r, d.prevDest) ||
-        !loadInt(r, d.prevDestCluster, invalidCluster, maxClusters - 1))
-        return false;
-    d.prevDestHadReg = r.boolean();
-    d.retryArmed = r.boolean();
-    return r.ok();
-}
-
-void
-saveSatVec(SnapshotWriter &w, const std::vector<SatCounter> &v)
-{
-    w.u64(v.size());
-    for (const SatCounter &c : v)
-        c.save(w);
-}
-
-bool
-loadSatVec(SnapshotReader &r, std::vector<SatCounter> &v)
-{
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n != v.size())
-        return false;
-    for (SatCounter &c : v)
-        if (!c.load(r))
-            return false;
-    return true;
+    return c.empty() ? 0 : c.size() - 1;
 }
 
 } // namespace
 
 // --- predictors ------------------------------------------------------------
 
-void
-BimodalPredictor::save(SnapshotWriter &w) const
-{
-    saveSatVec(w, table_);
-}
-
+template <class Self, class A>
 bool
-BimodalPredictor::load(SnapshotReader &r)
+BimodalPredictor::io(Self &s, A &a)
 {
-    return loadSatVec(r, table_);
+    a.fixed(s.table_);
+    return a.ok();
 }
 
-void
-TwoLevelPredictor::save(SnapshotWriter &w) const
-{
-    w.u64(historyTable_.size());
-    for (std::uint32_t h : historyTable_)
-        w.u32(h);
-    saveSatVec(w, patternTable_);
-}
-
+template <class Self, class A>
 bool
-TwoLevelPredictor::load(SnapshotReader &r)
+TwoLevelPredictor::io(Self &s, A &a)
 {
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n != historyTable_.size())
-        return false;
-    for (std::uint32_t &h : historyTable_) {
-        h = r.u32();
-        if ((h & ~historyMask_) != 0)
-            return false;
-    }
-    if (!r.ok())
-        return false;
-    return loadSatVec(r, patternTable_);
+    a.fixed(s.historyTable_, [&](auto &h) {
+        a.field(h);
+        a.check((h & ~s.historyMask_) == 0);
+    });
+    a.fixed(s.patternTable_);
+    return a.ok();
 }
 
-void
-CombiningPredictor::save(SnapshotWriter &w) const
-{
-    bimodal_.save(w);
-    twoLevel_.save(w);
-    saveSatVec(w, chooser_);
-}
-
+template <class Self, class A>
 bool
-CombiningPredictor::load(SnapshotReader &r)
+CombiningPredictor::io(Self &s, A &a)
 {
-    return bimodal_.load(r) && twoLevel_.load(r) &&
-           loadSatVec(r, chooser_);
+    a.field(s.bimodal_);
+    a.field(s.twoLevel_);
+    a.fixed(s.chooser_);
+    return a.ok();
 }
 
-void
-Btb::save(SnapshotWriter &w) const
-{
-    w.u64(entries_.size());
-    for (const Entry &e : entries_) {
-        w.boolean(e.valid);
-        w.u64(e.tag);
-        w.u64(e.target);
-        w.u64(e.lastUse);
-    }
-    w.u64(useClock_);
-}
-
+template <class Self, class A>
 bool
-Btb::load(SnapshotReader &r)
+Btb::io(Self &s, A &a)
 {
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n != entries_.size())
-        return false;
-    for (Entry &e : entries_) {
-        e.valid = r.boolean();
-        e.tag = r.u64();
-        e.target = r.u64();
-        e.lastUse = r.u64();
-    }
-    useClock_ = r.u64();
-    return r.ok();
+    a.fixed(s.entries_, [&](auto &e) {
+        a.field(e.valid);
+        a.field(e.tag);
+        a.field(e.target);
+        a.field(e.lastUse);
+    });
+    a.field(s.useClock_);
+    return a.ok();
 }
 
-void
-ReturnAddressStack::save(SnapshotWriter &w) const
-{
-    w.u64(stack_.size());
-    w.u64(topIdx_);
-    w.u64(size_);
-    for (Addr a : stack_)
-        w.u64(a);
-}
-
+template <class Self, class A>
 bool
-ReturnAddressStack::load(SnapshotReader &r)
+ReturnAddressStack::io(Self &s, A &a)
 {
-    std::uint64_t n = r.u64();
-    std::uint64_t top = r.u64();
-    std::uint64_t sz = r.u64();
-    if (!r.ok() || n != stack_.size() || (n != 0 && top >= n) || sz > n)
-        return false;
-    topIdx_ = static_cast<std::size_t>(top);
-    size_ = static_cast<std::size_t>(sz);
-    for (Addr &a : stack_)
-        a = r.u64();
-    return r.ok();
+    a.shape(s.stack_.size());
+    a.bounded(s.topIdx_, 0, lastIndex(s.stack_));
+    a.bounded(s.size_, 0, s.stack_.size());
+    for (auto &addr : s.stack_)
+        a.field(addr);
+    return a.ok();
 }
 
-void
-BranchUnit::save(SnapshotWriter &w) const
-{
-    direction_.save(w);
-    btb_.save(w);
-    ras_.save(w);
-    lookups_.save(w);
-    mispredicts_.save(w);
-    dirMispredicts_.save(w);
-    targetMispredicts_.save(w);
-}
-
+template <class Self, class A>
 bool
-BranchUnit::load(SnapshotReader &r)
+BranchUnit::io(Self &s, A &a)
 {
-    return direction_.load(r) && btb_.load(r) && ras_.load(r) &&
-           lookups_.load(r) && mispredicts_.load(r) &&
-           dirMispredicts_.load(r) && targetMispredicts_.load(r);
+    a.field(s.direction_);
+    a.field(s.btb_);
+    a.field(s.ras_);
+    a.field(s.lookups_);
+    a.field(s.mispredicts_);
+    a.field(s.dirMispredicts_);
+    a.field(s.targetMispredicts_);
+    return a.ok();
 }
 
-void
-BankPredictor::save(SnapshotWriter &w) const
-{
-    w.u64(historyTable_.size());
-    for (std::uint32_t h : historyTable_)
-        w.u32(h);
-    w.u64(bankTable_.size());
-    for (std::uint8_t b : bankTable_)
-        w.u8(b);
-    lookups_.save(w);
-    correct_.save(w);
-}
-
+template <class Self, class A>
 bool
-BankPredictor::load(SnapshotReader &r)
+BankPredictor::io(Self &s, A &a)
 {
-    std::uint64_t nh = r.u64();
-    if (!r.ok() || nh != historyTable_.size())
-        return false;
-    for (std::uint32_t &h : historyTable_)
-        h = r.u32();
-    std::uint64_t nb = r.u64();
-    if (!r.ok() || nb != bankTable_.size())
-        return false;
-    for (std::uint8_t &b : bankTable_) {
-        b = r.u8();
-        // predict() indexes clusters with these values directly
-        if (b >= static_cast<std::uint8_t>(maxBanks_))
-            return false;
-    }
-    return r.ok() && lookups_.load(r) && correct_.load(r);
+    a.fixed(s.historyTable_);
+    // predict() indexes clusters with these values directly
+    a.fixed(s.bankTable_,
+            [&](auto &b) { a.bounded(b, 0, s.maxBanks_ - 1); });
+    a.field(s.lookups_);
+    a.field(s.correct_);
+    return a.ok();
 }
 
-void
-CriticalityPredictor::save(SnapshotWriter &w) const
-{
-    saveSatVec(w, table_);
-}
-
+template <class Self, class A>
 bool
-CriticalityPredictor::load(SnapshotReader &r)
+CriticalityPredictor::io(Self &s, A &a)
 {
-    return loadSatVec(r, table_);
+    a.fixed(s.table_);
+    return a.ok();
 }
 
 // --- memory ---------------------------------------------------------------
 
-void
-CacheBank::save(SnapshotWriter &w) const
-{
-    w.u64(lines_.size());
-    for (const Line &l : lines_) {
-        w.boolean(l.valid);
-        w.boolean(l.dirty);
-        w.u64(l.tag);
-        w.u64(l.lastUse);
-    }
-    w.u64(useClock_);
-    w.u64(lastIdx_);
-    accesses_.save(w);
-    misses_.save(w);
-    writebacks_.save(w);
-}
-
+template <class Self, class A>
 bool
-CacheBank::load(SnapshotReader &r)
+CacheBank::io(Self &s, A &a)
 {
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n != lines_.size())
-        return false;
-    for (Line &l : lines_) {
-        l.valid = r.boolean();
-        l.dirty = r.boolean();
-        l.tag = r.u64();
-        l.lastUse = r.u64();
-    }
-    useClock_ = r.u64();
-    if (!loadSize(r, lastIdx_, lines_.empty() ? 0 : lines_.size() - 1))
-        return false;
-    return accesses_.load(r) && misses_.load(r) && writebacks_.load(r);
+    a.fixed(s.lines_, [&](auto &l) {
+        a.field(l.valid);
+        a.field(l.dirty);
+        a.field(l.tag);
+        a.field(l.lastUse);
+    });
+    a.field(s.useClock_);
+    a.bounded(s.lastIdx_, 0, lastIndex(s.lines_));
+    a.field(s.accesses_);
+    a.field(s.misses_);
+    a.field(s.writebacks_);
+    return a.ok();
 }
 
-void
-Tlb::save(SnapshotWriter &w) const
-{
-    w.u64(entries_.size());
-    for (const Entry &e : entries_) {
-        w.boolean(e.valid);
-        w.u64(e.vpn);
-        w.u64(e.lastUse);
-    }
-    w.u64(useClock_);
-    w.u64(lastIdx_);
-    accesses_.save(w);
-    misses_.save(w);
-}
-
+template <class Self, class A>
 bool
-Tlb::load(SnapshotReader &r)
+Tlb::io(Self &s, A &a)
 {
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n != entries_.size())
-        return false;
-    for (Entry &e : entries_) {
-        e.valid = r.boolean();
-        e.vpn = r.u64();
-        e.lastUse = r.u64();
-    }
-    useClock_ = r.u64();
-    if (!loadSize(r, lastIdx_,
-                  entries_.empty() ? 0 : entries_.size() - 1))
-        return false;
-    return accesses_.load(r) && misses_.load(r);
+    a.fixed(s.entries_, [&](auto &e) {
+        a.field(e.valid);
+        a.field(e.vpn);
+        a.field(e.lastUse);
+    });
+    a.field(s.useClock_);
+    a.bounded(s.lastIdx_, 0, lastIndex(s.entries_));
+    a.field(s.accesses_);
+    a.field(s.misses_);
+    return a.ok();
 }
 
-void
-L2Cache::save(SnapshotWriter &w) const
-{
-    array_.save(w);
-    port_.save(w);
-}
-
+template <class Self, class A>
 bool
-L2Cache::load(SnapshotReader &r)
+L2Cache::io(Self &s, A &a)
 {
-    return array_.load(r) && port_.load(r);
+    a.field(s.array_);
+    a.field(s.port_);
+    return a.ok();
 }
 
-void
-LoadStoreQueue::save(SnapshotWriter &w) const
-{
-    w.u64(slots_.size());
-    for (const LsqEntry &e : slots_) {
-        w.u64(e.seq);
-        w.boolean(e.isStore);
-        w.i64(e.cluster);
-        w.i64(e.bank);
-        w.u64(e.addr);
-        w.boolean(e.addrValid);
-        w.u64(e.addrKnownAt);
-        w.u64(e.broadcastAt);
-        w.u64(e.dataReadyAt);
-        w.boolean(e.accessed);
-        w.i64(e.dummyClusters);
-        e.loadWaiters.save(w,
-                           [](SnapshotWriter &ww, InstSeqNum s) {
-                               ww.u64(s);
-                           });
-    }
-    w.u64(head_);
-    w.u64(size_);
-    w.u64(seqMap_.size());
-    for (std::uint32_t v : seqMap_)
-        w.u32(v);
-    w.u64(storeRing_.size());
-    for (std::uint32_t v : storeRing_)
-        w.u32(v);
-    w.u64(storeHead_);
-    w.u64(storeCount_);
-    w.u64(occupancy_.size());
-    for (int o : occupancy_)
-        w.i64(o);
-    w.u64(woken_.size());
-    for (InstSeqNum s : woken_)
-        w.u64(s);
-    forwards_.save(w);
-    blocked_.save(w);
-}
-
+template <class Self, class A>
 bool
-LoadStoreQueue::load(SnapshotReader &r)
+LoadStoreQueue::io(Self &s, A &a)
 {
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n != slots_.size())
-        return false;
-    int max_occ = perCluster_ * numClusters_;
-    for (LsqEntry &e : slots_) {
-        e.seq = r.u64();
-        e.isStore = r.boolean();
-        if (!loadInt(r, e.cluster, 0, numClusters_ - 1) ||
-            !loadInt(r, e.bank, 0, 63))
-            return false;
-        e.addr = r.u64();
-        e.addrValid = r.boolean();
-        e.addrKnownAt = r.u64();
-        e.broadcastAt = r.u64();
-        e.dataReadyAt = r.u64();
-        e.accessed = r.boolean();
-        if (!loadInt(r, e.dummyClusters, 0, numClusters_))
-            return false;
-        bool waiters_ok = e.loadWaiters.load(
-            r,
-            [](SnapshotReader &rr, InstSeqNum &s) {
-                s = rr.u64();
-                return rr.ok();
-            },
-            slots_.size());
-        if (!waiters_ok)
-            return false;
-    }
-    if (!loadSize(r, head_, slots_.size() - 1) ||
-        !loadSize(r, size_, slots_.size()))
-        return false;
-    std::uint64_t nm = r.u64();
-    if (!r.ok() || nm != seqMap_.size())
-        return false;
-    for (std::uint32_t &v : seqMap_) {
-        v = r.u32();
-        if (v >= slots_.size())
-            return false;
-    }
-    std::uint64_t ns = r.u64();
-    if (!r.ok() || ns != storeRing_.size())
-        return false;
-    for (std::uint32_t &v : storeRing_) {
-        v = r.u32();
-        if (v >= slots_.size())
-            return false;
-    }
-    if (!loadSize(r, storeHead_, storeRing_.size() - 1) ||
-        !loadSize(r, storeCount_, storeRing_.size()))
-        return false;
-    std::uint64_t no = r.u64();
-    if (!r.ok() || no != occupancy_.size())
-        return false;
-    for (int &o : occupancy_)
-        if (!loadInt(r, o, 0, max_occ))
-            return false;
-    std::uint64_t nw = r.u64();
-    if (!r.ok() || nw > slots_.size())
-        return false;
-    woken_.clear();
-    for (std::uint64_t i = 0; i < nw; ++i)
-        woken_.push_back(r.u64());
-    return r.ok() && forwards_.load(r) && blocked_.load(r);
+    a.fixed(s.slots_, [&](auto &e) {
+        a.field(e.seq);
+        a.field(e.isStore);
+        a.bounded(e.cluster, 0, s.numClusters_ - 1);
+        a.bounded(e.bank, 0, 63);
+        a.field(e.addr);
+        a.field(e.addrValid);
+        a.field(e.addrKnownAt);
+        a.field(e.broadcastAt);
+        a.field(e.dataReadyAt);
+        a.field(e.accessed);
+        a.bounded(e.dummyClusters, 0, s.numClusters_);
+        a.seq(e.loadWaiters, s.slots_.size());
+    });
+    a.bounded(s.head_, 0, s.slots_.size() - 1);
+    a.bounded(s.size_, 0, s.slots_.size());
+    auto slot_index = [&](auto &v) {
+        a.bounded(v, 0, s.slots_.size() - 1);
+    };
+    a.fixed(s.seqMap_, slot_index);
+    a.fixed(s.storeRing_, slot_index);
+    a.bounded(s.storeHead_, 0, s.storeRing_.size() - 1);
+    a.bounded(s.storeCount_, 0, s.storeRing_.size());
+    a.fixed(s.occupancy_, [&](auto &o) {
+        a.bounded(o, 0, s.perCluster_ * s.numClusters_);
+    });
+    a.seq(s.woken_, s.slots_.size());
+    a.field(s.forwards_);
+    a.field(s.blocked_);
+    return a.ok();
 }
 
 // --- core ------------------------------------------------------------------
 
-void
-Cluster::save(SnapshotWriter &w) const
-{
-    w.i64(intIqUsed_);
-    w.i64(fpIqUsed_);
-    w.i64(intRegsUsed_);
-    w.i64(fpRegsUsed_);
-    auto save_units = [&w](const std::vector<SlotReserver> &units) {
-        w.u64(units.size());
-        for (const SlotReserver &u : units)
-            u.save(w);
-    };
-    save_units(intAlus_);
-    save_units(intMultDivs_);
-    save_units(fpAlus_);
-    save_units(fpMultDivs_);
-}
-
+template <class Self, class A>
 bool
-Cluster::load(SnapshotReader &r)
+Cluster::io(Self &s, A &a)
 {
-    if (!loadInt(r, intIqUsed_, 0, params_.intIssueQueue) ||
-        !loadInt(r, fpIqUsed_, 0, params_.fpIssueQueue) ||
-        !loadInt(r, intRegsUsed_, 0, params_.intRegs) ||
-        !loadInt(r, fpRegsUsed_, 0, params_.fpRegs))
-        return false;
-    auto load_units = [&r](std::vector<SlotReserver> &units) {
-        std::uint64_t n = r.u64();
-        if (!r.ok() || n != units.size())
-            return false;
-        for (SlotReserver &u : units)
-            if (!u.load(r))
-                return false;
-        return true;
-    };
-    return load_units(intAlus_) && load_units(intMultDivs_) &&
-           load_units(fpAlus_) && load_units(fpMultDivs_);
+    a.bounded(s.intIqUsed_, 0, s.params_.intIssueQueue);
+    a.bounded(s.fpIqUsed_, 0, s.params_.fpIssueQueue);
+    a.bounded(s.intRegsUsed_, 0, s.params_.intRegs);
+    a.bounded(s.fpRegsUsed_, 0, s.params_.fpRegs);
+    a.fixed(s.intAlus_);
+    a.fixed(s.intMultDivs_);
+    a.fixed(s.fpAlus_);
+    a.fixed(s.fpMultDivs_);
+    return a.ok();
 }
 
-void
-ReorderBuffer::save(SnapshotWriter &w) const
+template <class Self, class A>
+bool
+ReorderBuffer::io(Self &s, A &a)
 {
     // Every ring slot travels, live or not: recycled slots carry the
     // exact residual state a straight-line run would have, which is
     // what bit-identical restore requires.
-    w.u64(slots_.size());
-    for (const DynInst &d : slots_)
-        saveDynInst(w, d);
-    w.u64(head_);
-    w.u64(size_);
-    w.u64(nextSeq_);
-}
-
-bool
-ReorderBuffer::load(SnapshotReader &r)
-{
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n != slots_.size())
-        return false;
-    for (DynInst &d : slots_)
-        if (!loadDynInst(r, d))
-            return false;
-    if (!loadSize(r, head_, slots_.size() - 1) ||
-        !loadSize(r, size_, slots_.size()))
-        return false;
-    nextSeq_ = r.u64();
-    return r.ok() && nextSeq_ >= 1;
+    a.fixed(s.slots_, [&](auto &d) { dynInstIo(d, a); });
+    a.bounded(s.head_, 0, s.slots_.size() - 1);
+    a.bounded(s.size_, 0, s.slots_.size());
+    a.field(s.nextSeq_);
+    a.check(s.nextSeq_ >= 1);
+    return a.ok();
 }
 
 // --- reconfiguration controllers -------------------------------------------
 
-void
-DistantIlpTracker::save(SnapshotWriter &w) const
-{
-    w.u64(ring_.size());
-    for (const Slot &s : ring_) {
-        w.u64(s.pc);
-        w.boolean(s.distant);
-        w.boolean(s.marked);
-    }
-    w.u64(head_);
-    w.u64(size_);
-    w.i64(count_);
-}
+/** The virtual checkpoint entry points of a controller, both of which
+ *  forward to its io() field list. */
+#define CSIM_CONTROLLER_CHECKPOINT(Cls)                                    \
+    bool Cls::checkpoint(SnapshotWriter &w) const { return io(*this, w); } \
+    bool Cls::checkpoint(SnapshotReader &r) { return io(*this, r); }
 
+template <class Self, class A>
 bool
-DistantIlpTracker::load(SnapshotReader &r)
+DistantIlpTracker::io(Self &s, A &a)
 {
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n != ring_.size())
-        return false;
-    for (Slot &s : ring_) {
-        s.pc = r.u64();
-        s.distant = r.boolean();
-        s.marked = r.boolean();
-    }
-    if (!loadSize(r, head_, ring_.empty() ? 0 : ring_.size() - 1) ||
-        !loadSize(r, size_, ring_.size()))
-        return false;
-    return loadInt(r, count_, 0, static_cast<std::int64_t>(size_));
+    a.fixed(s.ring_, [&](auto &slot) {
+        a.field(slot.pc);
+        a.field(slot.distant);
+        a.field(slot.marked);
+    });
+    a.bounded(s.head_, 0, lastIndex(s.ring_));
+    a.bounded(s.size_, 0, s.ring_.size());
+    a.bounded(s.count_, 0, s.size_);
+    return a.ok();
 }
 
-void
-IntervalExploreController::saveState(SnapshotWriter &w) const
-{
-    w.u64(intervalLength_);
-    w.u64(instsInInterval_);
-    w.u64(branchesInInterval_);
-    w.u64(memrefsInInterval_);
-    w.u64(intervalStartCycle_);
-    w.boolean(startCycleValid_);
-    w.boolean(haveReference_);
-    w.boolean(stable_);
-    w.boolean(discontinued_);
-    w.f64(numIpcVariations_);
-    w.f64(instability_);
-    w.u64(refBranches_);
-    w.u64(refMemrefs_);
-    w.f64(refIpc_);
-    w.u64(exploreIdx_);
-    w.u64(exploreIpc_.size());
-    for (double d : exploreIpc_)
-        w.f64(d);
-    // std::map iterates in key order: deterministic bytes.
-    w.u64(popularity_.size());
-    for (const auto &p : popularity_) {
-        w.i64(p.first);
-        w.u64(p.second);
-    }
-    w.i64(target_);
-    w.u64(phaseChanges_);
-    w.u64(explorations_);
-    w.u64(failedExplorations_);
-    w.u64(chgBranch_);
-    w.u64(chgMem_);
-    w.u64(chgIpc_);
-}
-
+template <class Self, class A>
 bool
-IntervalExploreController::loadState(SnapshotReader &r)
+IntervalExploreController::io(Self &s, A &a)
 {
-    intervalLength_ = r.u64();
-    instsInInterval_ = r.u64();
-    branchesInInterval_ = r.u64();
-    memrefsInInterval_ = r.u64();
-    intervalStartCycle_ = r.u64();
-    startCycleValid_ = r.boolean();
-    haveReference_ = r.boolean();
-    stable_ = r.boolean();
-    discontinued_ = r.boolean();
-    numIpcVariations_ = r.f64();
-    instability_ = r.f64();
-    refBranches_ = r.u64();
-    refMemrefs_ = r.u64();
-    refIpc_ = r.f64();
-    if (!loadSize(r, exploreIdx_, allConfigs_.size()))
-        return false;
-    std::uint64_t ne = r.u64();
-    if (!r.ok() || ne > allConfigs_.size())
-        return false;
-    exploreIpc_.clear();
-    for (std::uint64_t i = 0; i < ne; ++i)
-        exploreIpc_.push_back(r.f64());
-    std::uint64_t np = r.u64();
-    if (!r.ok() || np > static_cast<std::uint64_t>(maxClusters))
-        return false;
-    popularity_.clear();
-    for (std::uint64_t i = 0; i < np; ++i) {
-        int cfg = 0;
-        if (!loadInt(r, cfg, 1, hwClusters_))
-            return false;
-        popularity_[cfg] = r.u64();
-    }
-    if (!loadInt(r, target_, 1, hwClusters_))
-        return false;
-    phaseChanges_ = r.u64();
-    explorations_ = r.u64();
-    failedExplorations_ = r.u64();
-    chgBranch_ = r.u64();
-    chgMem_ = r.u64();
-    chgIpc_ = r.u64();
-    return r.ok();
+    a.field(s.intervalLength_);
+    a.field(s.instsInInterval_);
+    a.field(s.branchesInInterval_);
+    a.field(s.memrefsInInterval_);
+    a.field(s.intervalStartCycle_);
+    a.field(s.startCycleValid_);
+    a.field(s.haveReference_);
+    a.field(s.stable_);
+    a.field(s.discontinued_);
+    a.field(s.numIpcVariations_);
+    a.field(s.instability_);
+    a.field(s.refBranches_);
+    a.field(s.refMemrefs_);
+    a.field(s.refIpc_);
+    a.bounded(s.exploreIdx_, 0, s.allConfigs_.size());
+    a.seq(s.exploreIpc_, s.allConfigs_.size());
+    a.seq(s.popularity_, maxClusters, [&](auto &cfg, auto &count) {
+        a.bounded(cfg, 1, s.hwClusters_);
+        a.field(count);
+    });
+    a.bounded(s.target_, 1, s.hwClusters_);
+    a.field(s.phaseChanges_);
+    a.field(s.explorations_);
+    a.field(s.failedExplorations_);
+    a.field(s.chgBranch_);
+    a.field(s.chgMem_);
+    a.field(s.chgIpc_);
+    return a.ok();
 }
+CSIM_CONTROLLER_CHECKPOINT(IntervalExploreController)
 
-void
-IntervalIlpController::saveState(SnapshotWriter &w) const
-{
-    w.u64(instsInInterval_);
-    w.u64(branchesInInterval_);
-    w.u64(memrefsInInterval_);
-    w.u64(distantInInterval_);
-    w.u64(intervalStartCycle_);
-    w.boolean(startCycleValid_);
-    w.boolean(measuring_);
-    w.boolean(haveReference_);
-    w.u64(refBranches_);
-    w.u64(refMemrefs_);
-    w.f64(refIpc_);
-    w.boolean(refIpcValid_);
-    w.i64(target_);
-    w.u64(phaseChanges_);
-}
-
+template <class Self, class A>
 bool
-IntervalIlpController::loadState(SnapshotReader &r)
+IntervalIlpController::io(Self &s, A &a)
 {
-    instsInInterval_ = r.u64();
-    branchesInInterval_ = r.u64();
-    memrefsInInterval_ = r.u64();
-    distantInInterval_ = r.u64();
-    intervalStartCycle_ = r.u64();
-    startCycleValid_ = r.boolean();
-    measuring_ = r.boolean();
-    haveReference_ = r.boolean();
-    refBranches_ = r.u64();
-    refMemrefs_ = r.u64();
-    refIpc_ = r.f64();
-    refIpcValid_ = r.boolean();
-    if (!loadInt(r, target_, 1, hwClusters_))
-        return false;
-    phaseChanges_ = r.u64();
-    return r.ok();
+    a.field(s.instsInInterval_);
+    a.field(s.branchesInInterval_);
+    a.field(s.memrefsInInterval_);
+    a.field(s.distantInInterval_);
+    a.field(s.intervalStartCycle_);
+    a.field(s.startCycleValid_);
+    a.field(s.measuring_);
+    a.field(s.haveReference_);
+    a.field(s.refBranches_);
+    a.field(s.refMemrefs_);
+    a.field(s.refIpc_);
+    a.field(s.refIpcValid_);
+    a.bounded(s.target_, 1, s.hwClusters_);
+    a.field(s.phaseChanges_);
+    return a.ok();
 }
+CSIM_CONTROLLER_CHECKPOINT(IntervalIlpController)
 
-void
-FinegrainController::saveState(SnapshotWriter &w) const
-{
-    w.u64(table_.size());
-    for (const TableEntry &e : table_) {
-        w.boolean(e.valid);
-        w.u64(e.tag);
-        w.i64(e.samples);
-        w.i64(e.distantSum);
-        w.boolean(e.decided);
-        w.i64(e.advice);
-    }
-    tracker_.save(w);
-    w.i64(branchCounter_);
-    w.u64(sinceFlush_);
-    w.i64(target_);
-    w.u64(reconfigPoints_);
-    w.u64(tableFlushes_);
-    w.u64(tableConflicts_);
-}
-
+template <class Self, class A>
 bool
-FinegrainController::loadState(SnapshotReader &r)
+FinegrainController::io(Self &s, A &a)
 {
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n != table_.size())
-        return false;
-    for (TableEntry &e : table_) {
-        e.valid = r.boolean();
-        e.tag = r.u64();
-        if (!loadInt(r, e.samples, 0, params_.samplesNeeded))
-            return false;
-        e.distantSum = r.i64();
-        e.decided = r.boolean();
-        if (!loadInt(r, e.advice, 1, hwClusters_))
-            return false;
-    }
-    if (!tracker_.load(r))
-        return false;
-    if (!loadInt(r, branchCounter_, 0, params_.branchStride))
-        return false;
-    sinceFlush_ = r.u64();
-    if (!loadInt(r, target_, 1, hwClusters_))
-        return false;
-    reconfigPoints_ = r.u64();
-    tableFlushes_ = r.u64();
-    tableConflicts_ = r.u64();
-    return r.ok();
+    a.fixed(s.table_, [&](auto &e) {
+        a.field(e.valid);
+        a.field(e.tag);
+        a.bounded(e.samples, 0, s.params_.samplesNeeded);
+        a.field(e.distantSum);
+        a.field(e.decided);
+        // Only decided advice is ever installed; an undecided entry
+        // keeps its default, which may exceed a smaller machine.
+        a.bounded(e.advice, 1, e.decided ? s.hwClusters_ : maxClusters);
+    });
+    a.field(s.tracker_);
+    a.bounded(s.branchCounter_, 0, s.params_.branchStride);
+    a.field(s.sinceFlush_);
+    a.bounded(s.target_, 1, s.hwClusters_);
+    a.field(s.reconfigPoints_);
+    a.field(s.tableFlushes_);
+    a.field(s.tableConflicts_);
+    return a.ok();
 }
+CSIM_CONTROLLER_CHECKPOINT(FinegrainController)
 
-void
-IneffectualityController::saveState(SnapshotWriter &w) const
-{
-    w.u64(instsInInterval_);
-    w.u64(mispredictsInInterval_);
-    w.u64(ladderIdx_);
-    w.i64(target_);
-    w.u64(intervals_);
-    w.u64(gateEvents_);
-    w.u64(ungateEvents_);
-    w.f64(predictedWasted_);
-    w.f64(lastFraction_);
-}
-
+template <class Self, class A>
 bool
-IneffectualityController::loadState(SnapshotReader &r)
+IneffectualityController::io(Self &s, A &a)
 {
-    instsInInterval_ = r.u64();
-    mispredictsInInterval_ = r.u64();
-    if (!loadSize(r, ladderIdx_, params_.configs.size() - 1))
-        return false;
-    if (!loadInt(r, target_, 1, hwClusters_))
-        return false;
-    intervals_ = r.u64();
-    gateEvents_ = r.u64();
-    ungateEvents_ = r.u64();
-    predictedWasted_ = r.f64();
-    lastFraction_ = r.f64();
-    return r.ok();
+    a.field(s.instsInInterval_);
+    a.field(s.mispredictsInInterval_);
+    a.bounded(s.ladderIdx_, 0, s.params_.configs.size() - 1);
+    a.bounded(s.target_, 1, s.hwClusters_);
+    a.field(s.intervals_);
+    a.field(s.gateEvents_);
+    a.field(s.ungateEvents_);
+    a.field(s.predictedWasted_);
+    a.field(s.lastFraction_);
+    return a.ok();
 }
+CSIM_CONTROLLER_CHECKPOINT(IneffectualityController)
 
-void
-OracleController::saveState(SnapshotWriter &w) const
+template <class Self, class A>
+bool
+OracleController::io(Self &s, A &a)
 {
     // The schedule and interval length are identity, rebuilt by the
     // factory; only the replay position is dynamic. target_ travels
-    // for the S005 audit, then is cross-checked against the schedule.
-    w.u64(committed_);
-    w.i64(target_);
+    // too, and a payload from a different schedule (or horizon), which
+    // would desync the replay, fails the cross-check.
+    a.field(s.committed_);
+    a.bounded(s.target_, 1, s.hwClusters_);
+    a.check(s.target_ == s.targetAt(s.committed_));
+    return a.ok();
 }
+CSIM_CONTROLLER_CHECKPOINT(OracleController)
 
-bool
-OracleController::loadState(SnapshotReader &r)
-{
-    committed_ = r.u64();
-    if (!loadInt(r, target_, 1, hwClusters_))
-        return false;
-    // A payload from a different schedule (or horizon) would desync
-    // the replay: the stored target must match the schedule's.
-    return r.ok() && target_ == targetAt(committed_);
-}
+#undef CSIM_CONTROLLER_CHECKPOINT
 
 // --- the whole snapshot -----------------------------------------------------
 
-void
-Processor::Snapshot::save(SnapshotWriter &w) const
-{
-    w.u32(snapshotFormatVersion);
-
-    // fetch
-    fetch.branch.save(w);
-    fetch.icache.save(w);
-    w.u64(fetch.queue.size());
-    for (const FetchEntry &e : fetch.queue) {
-        saveMicroOp(w, e.op);
-        w.u64(e.readyAt);
-        w.boolean(e.mispredicted);
-    }
-    w.boolean(fetch.pending.has_value());
-    if (fetch.pending)
-        saveMicroOp(w, *fetch.pending);
-    w.boolean(fetch.stalledOnBranch);
-    w.u64(fetch.stallUntil);
-    fetch.fetched.save(w);
-    fetch.icacheMisses.save(w);
-
-    // network
-    w.u64(network.occupancy.size());
-    for (const auto &link : network.occupancy) {
-        w.u64(link.size());
-        for (Cycle c : link)
-            w.u64(c);
-    }
-    network.transfers.save(w);
-    network.totalHops.save(w);
-    network.totalLatency.save(w);
-
-    // L1 / L2 / LSQ
-    w.u64(l1.arrays.size());
-    for (const CacheBank &b : l1.arrays)
-        b.save(w);
-    w.u64(l1.ports.size());
-    for (const SlotReserver &p : l1.ports)
-        p.save(w);
-    l2.save(w);
-    lsq.save(w);
-
-    // clusters and predictors
-    w.u64(clusters.size());
-    for (const Cluster &c : clusters)
-        c.save(w);
-    dtlb.save(w);
-    bankPred.save(w);
-    critPred.save(w);
-
-    // ROB and rename state
-    rob.save(w);
-    for (InstSeqNum s : renameTable)
-        w.u64(s);
-    for (const ValueInfo &v : archValues)
-        saveValueInfo(w, v);
-
-    // scalar core state
-    w.u64(cycle);
-    w.i64(activeClusters);
-    w.i64(pendingTarget);
-    w.u64(dispatchStallUntil);
-    w.u64(pendingLoads.size());
-    for (InstSeqNum s : pendingLoads)
-        w.u64(s);
-    w.i64(armedPending);
-    w.u8(static_cast<std::uint8_t>(lastDispatchStall));
-    w.boolean(lastStepIdle);
-    iqEvents.save(w, [](SnapshotWriter &ww, const IqEvent &ev) {
-        ww.u64(ev.seq);
-        ww.i64(ev.cluster);
-        ww.boolean(ev.fp);
-    });
-
-    // statistics
-    w.u64(stats.cycles);
-    w.u64(stats.committed);
-    w.u64(stats.committedBranches);
-    w.u64(stats.mispredicts);
-    w.u64(stats.loads);
-    w.u64(stats.stores);
-    w.u64(stats.distantIssued);
-    w.u64(stats.regTransfers);
-    w.u64(stats.bankLookups);
-    w.u64(stats.bankMispredicts);
-    w.u64(stats.reconfigurations);
-    w.u64(stats.flushWritebacks);
-    w.u64(stats.stallIq);
-    w.u64(stats.stallReg);
-    w.u64(stats.stallLsq);
-    w.u64(stats.stallRob);
-    w.u64(stats.stallEmpty);
-    w.f64(stats.activeClusterSum);
-
-    w.u64(tracePosition);
-
-    // controller: presence + identity check + dynamic state
-    w.boolean(controller != nullptr);
-    if (controller) {
-        w.str(controller->name());
-        controller->saveState(w);
-    }
-}
-
+template <class Self, class A>
 bool
-Processor::Snapshot::load(SnapshotReader &r)
+Processor::Snapshot::io(Self &s, A &a)
 {
-    if (r.u32() != snapshotFormatVersion || !r.ok())
-        return false;
+    a.shape(snapshotFormatVersion);
 
     // fetch
-    if (!fetch.branch.load(r) || !fetch.icache.load(r))
-        return false;
-    std::uint64_t nq = r.u64();
-    if (!r.ok() || nq > 65536)
-        return false;
-    fetch.queue.clear();
-    for (std::uint64_t i = 0; i < nq; ++i) {
-        FetchEntry e;
-        if (!loadMicroOp(r, e.op))
-            return false;
-        e.readyAt = r.u64();
-        e.mispredicted = r.boolean();
-        fetch.queue.push_back(e);
-    }
-    if (r.boolean()) {
-        MicroOp op{};
-        if (!loadMicroOp(r, op))
-            return false;
-        fetch.pending = op;
-    } else {
-        fetch.pending.reset();
-    }
-    fetch.stalledOnBranch = r.boolean();
-    fetch.stallUntil = r.u64();
-    if (!fetch.fetched.load(r) || !fetch.icacheMisses.load(r))
-        return false;
+    a.field(s.fetch.branch);
+    a.field(s.fetch.icache);
+    a.seq(s.fetch.queue, 65536, [&](auto &e) {
+        microOpIo(e.op, a);
+        a.field(e.readyAt);
+        a.field(e.mispredicted);
+    });
+    a.optional(s.fetch.pending, [&](auto &op) { microOpIo(op, a); });
+    a.field(s.fetch.stalledOnBranch);
+    a.field(s.fetch.stallUntil);
+    a.field(s.fetch.fetched);
+    a.field(s.fetch.icacheMisses);
 
     // network (link count and window size are topology shape)
-    std::uint64_t nl = r.u64();
-    if (!r.ok() || nl != network.occupancy.size())
-        return false;
-    for (auto &link : network.occupancy) {
-        std::uint64_t wn = r.u64();
-        if (!r.ok() || wn != link.size())
-            return false;
-        for (Cycle &c : link)
-            c = r.u64();
-    }
-    if (!network.transfers.load(r) || !network.totalHops.load(r) ||
-        !network.totalLatency.load(r))
-        return false;
+    a.fixed(s.network.occupancy, [&](auto &link) { a.fixed(link); });
+    a.field(s.network.transfers);
+    a.field(s.network.totalHops);
+    a.field(s.network.totalLatency);
 
     // L1 / L2 / LSQ
-    std::uint64_t na = r.u64();
-    if (!r.ok() || na != l1.arrays.size())
-        return false;
-    for (CacheBank &b : l1.arrays)
-        if (!b.load(r))
-            return false;
-    std::uint64_t np = r.u64();
-    if (!r.ok() || np != l1.ports.size())
-        return false;
-    for (SlotReserver &p : l1.ports)
-        if (!p.load(r))
-            return false;
-    if (!l2.load(r) || !lsq.load(r))
-        return false;
+    a.fixed(s.l1.arrays);
+    a.fixed(s.l1.ports);
+    a.field(s.l2);
+    a.field(s.lsq);
 
     // clusters and predictors
-    std::uint64_t nc = r.u64();
-    if (!r.ok() || nc != clusters.size())
-        return false;
-    for (Cluster &c : clusters)
-        if (!c.load(r))
-            return false;
-    if (!dtlb.load(r) || !bankPred.load(r) || !critPred.load(r))
-        return false;
+    a.fixed(s.clusters);
+    a.field(s.dtlb);
+    a.field(s.bankPred);
+    a.field(s.critPred);
 
     // ROB and rename state
-    if (!rob.load(r))
-        return false;
-    for (InstSeqNum &s : renameTable)
-        s = r.u64();
-    for (ValueInfo &v : archValues)
-        if (!loadValueInfo(r, v))
-            return false;
+    a.field(s.rob);
+    a.field(s.renameTable);
+    for (auto &v : s.archValues)
+        valueInfoIo(v, a);
 
     // scalar core state
-    cycle = r.u64();
-    if (!loadInt(r, activeClusters, 0, maxClusters) ||
-        !loadInt(r, pendingTarget, 0, maxClusters))
-        return false;
-    dispatchStallUntil = r.u64();
-    std::uint64_t npl = r.u64();
-    if (!r.ok() || npl > static_cast<std::uint64_t>(rob.capacity()))
-        return false;
-    pendingLoads.clear();
-    for (std::uint64_t i = 0; i < npl; ++i)
-        pendingLoads.push_back(r.u64());
-    if (!loadInt(r, armedPending, 0,
-                 static_cast<std::int64_t>(pendingLoads.size())))
-        return false;
-    std::uint8_t stall = r.u8();
-    if (!r.ok() || stall > static_cast<std::uint8_t>(StallCause::Reg))
-        return false;
-    lastDispatchStall = static_cast<StallCause>(stall);
-    lastStepIdle = r.boolean();
-    bool iq_ok = iqEvents.load(r, [](SnapshotReader &rr, IqEvent &ev) {
-        ev.seq = rr.u64();
-        if (!loadInt(rr, ev.cluster, 0, maxClusters - 1))
-            return false;
-        ev.fp = rr.boolean();
-        return rr.ok();
+    a.field(s.cycle);
+    a.bounded(s.activeClusters, 0, maxClusters);
+    a.bounded(s.pendingTarget, 0, maxClusters);
+    a.field(s.dispatchStallUntil);
+    a.seq(s.pendingLoads, s.rob.capacity());
+    a.bounded(s.armedPending, 0, s.pendingLoads.size());
+    a.bounded(s.lastDispatchStall, 0, static_cast<int>(StallCause::Reg));
+    a.field(s.lastStepIdle);
+    CalendarQueue<IqEvent>::io(s.iqEvents, a, [&](auto &ev) {
+        a.field(ev.seq);
+        a.bounded(ev.cluster, 0, maxClusters - 1);
+        a.field(ev.fp);
     });
-    if (!iq_ok)
-        return false;
 
     // statistics
-    stats.cycles = r.u64();
-    stats.committed = r.u64();
-    stats.committedBranches = r.u64();
-    stats.mispredicts = r.u64();
-    stats.loads = r.u64();
-    stats.stores = r.u64();
-    stats.distantIssued = r.u64();
-    stats.regTransfers = r.u64();
-    stats.bankLookups = r.u64();
-    stats.bankMispredicts = r.u64();
-    stats.reconfigurations = r.u64();
-    stats.flushWritebacks = r.u64();
-    stats.stallIq = r.u64();
-    stats.stallReg = r.u64();
-    stats.stallLsq = r.u64();
-    stats.stallRob = r.u64();
-    stats.stallEmpty = r.u64();
-    stats.activeClusterSum = r.f64();
+    a.field(s.stats.cycles);
+    a.field(s.stats.committed);
+    a.field(s.stats.committedBranches);
+    a.field(s.stats.mispredicts);
+    a.field(s.stats.loads);
+    a.field(s.stats.stores);
+    a.field(s.stats.distantIssued);
+    a.field(s.stats.regTransfers);
+    a.field(s.stats.bankLookups);
+    a.field(s.stats.bankMispredicts);
+    a.field(s.stats.reconfigurations);
+    a.field(s.stats.flushWritebacks);
+    a.field(s.stats.stallIq);
+    a.field(s.stats.stallReg);
+    a.field(s.stats.stallLsq);
+    a.field(s.stats.stallRob);
+    a.field(s.stats.stallEmpty);
+    a.field(s.stats.activeClusterSum);
 
-    tracePosition = r.u64();
+    a.field(s.tracePosition);
 
     // controller: the donor snapshot's clone (same factory as the
     // stored one by key construction) receives the dynamic state;
     // presence and name must agree or the payload is from a different
     // plan.
-    bool present = r.boolean();
-    if (!r.ok() || present != (controller != nullptr))
-        return false;
-    if (controller) {
-        std::string nm = r.str();
-        if (!r.ok() || nm != controller->name())
-            return false;
-        if (!controller->loadState(r))
-            return false;
+    a.shape(s.controller != nullptr);
+    if (s.controller && a.ok()) {
+        a.shape(s.controller->name());
+        a.check(s.controller->checkpoint(a));
     }
-
-    return r.atEnd();
+    return a.ok();
 }
+
+template bool Processor::Snapshot::io(const Processor::Snapshot &,
+                                      SnapshotWriter &);
+template bool Processor::Snapshot::io(Processor::Snapshot &,
+                                      SnapshotReader &);
 
 } // namespace clustersim

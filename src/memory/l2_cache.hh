@@ -14,9 +14,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** L2 configuration. */
 struct L2Params {
     std::size_t sizeBytes = 2 * 1024 * 1024;
@@ -48,9 +45,8 @@ class L2Cache
 
     const L2Params &params() const { return params_; }
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     L2Params params_;

@@ -28,9 +28,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Disambiguation verdict for a load with a known address. */
 enum class LoadCheck {
     BlockedOlderStore, ///< an older store's address is not yet computed
@@ -185,9 +182,8 @@ class LoadStoreQueue
     std::uint64_t blockedChecks() const { return blocked_.value(); }
     void resetStats();
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     LsqEntry *find(InstSeqNum seq);

@@ -14,9 +14,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Set-associative TLB with LRU replacement and a fixed miss penalty. */
 class Tlb
 {
@@ -41,9 +38,8 @@ class Tlb
     Cycle missPenalty() const { return missPenalty_; }
     void resetStats();
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     struct Entry {

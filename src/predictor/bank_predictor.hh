@@ -16,9 +16,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * Two-level bank predictor. The first level records, per memory
  * instruction, a short history of recently accessed banks; the second
@@ -63,9 +60,8 @@ class BankPredictor
 
     int maxBanks() const { return maxBanks_; }
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     std::size_t l1Index(Addr pc) const;

@@ -13,9 +13,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Classic bimodal predictor: a table of 2-bit counters indexed by PC. */
 class BimodalPredictor
 {
@@ -31,9 +28,8 @@ class BimodalPredictor
 
     std::size_t entries() const { return table_.size(); }
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     std::size_t index(Addr pc) const;

@@ -15,9 +15,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Configuration of the branch unit (paper Table 1 defaults). */
 struct BranchUnitParams {
     std::size_t bimodalEntries = 2048;
@@ -67,9 +64,8 @@ class BranchUnit
 
     void resetStats();
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     CombiningPredictor direction_;

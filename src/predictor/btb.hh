@@ -14,9 +14,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Set-associative branch target buffer with LRU replacement. */
 class Btb
 {
@@ -32,9 +29,8 @@ class Btb
     std::size_t sets() const { return sets_; }
     int ways() const { return ways_; }
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     struct Entry {

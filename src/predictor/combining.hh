@@ -15,9 +15,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** McFarling-style combining direction predictor. */
 class CombiningPredictor
 {
@@ -31,9 +28,8 @@ class CombiningPredictor
     bool predict(Addr pc) const;
     void update(Addr pc, bool taken);
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     std::size_t chooserIndex(Addr pc) const;

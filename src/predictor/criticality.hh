@@ -16,9 +16,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Table-based criticality predictor. */
 class CriticalityPredictor
 {
@@ -35,9 +32,8 @@ class CriticalityPredictor
      */
     void train(Addr pc, bool critical);
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     std::size_t index(Addr pc) const;

@@ -12,9 +12,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * Circular return-address stack. Overflow wraps (oldest entries are
  * silently overwritten); underflow returns 0 (a guaranteed mispredict).
@@ -32,9 +29,8 @@ class ReturnAddressStack
     std::size_t depth() const { return stack_.size(); }
     void clear();
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     std::vector<Addr> stack_;

@@ -16,9 +16,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Two-level adaptive predictor (PAg-style). */
 class TwoLevelPredictor
 {
@@ -38,9 +35,8 @@ class TwoLevelPredictor
     /** Current history register value for a PC (for tests). */
     std::uint32_t history(Addr pc) const;
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     std::size_t l1Index(Addr pc) const;

@@ -86,18 +86,19 @@ class ReconfigController
     }
 
     /**
-     * Serialize the controller's *dynamic* state (interval counters,
-     * exploration phase, history tables) for on-disk checkpoints.
+     * Write, or read back, the controller's *dynamic* state (interval
+     * counters, exploration phase, history tables) for on-disk
+     * checkpoints; reading returns false on malformed input.
      * Config-derived members (params, candidate lists, hwClusters_) are
      * reproduced by constructing the controller from the run plan and
      * attaching it, so they are deliberately not written. Stateless
-     * controllers (e.g. StaticController) need not override. Defined in
-     * core/snapshot_io.cc for the stateful controllers.
+     * controllers (e.g. StaticController) need not override. A stateful
+     * controller lists its fields once, in a static io() (see
+     * core/snapshot_io.hh); both overrides forward to it and are
+     * defined in core/snapshot_io.cc.
      */
-    virtual void saveState(SnapshotWriter &) const {}
-
-    /** Inverse of saveState; returns false on malformed input. */
-    virtual bool loadState(SnapshotReader &) { return true; }
+    virtual bool checkpoint(SnapshotWriter &) const { return true; }
+    virtual bool checkpoint(SnapshotReader &) { return true; }
 
   protected:
     int hwClusters_ = 16;

@@ -20,9 +20,6 @@
 
 namespace clustersim {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Sliding-window distant-ILP counter. */
 class DistantIlpTracker
 {
@@ -54,9 +51,8 @@ class DistantIlpTracker
 
     void reset();
 
-    /** Checkpoint serialization (defined in core/snapshot_io.cc). */
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     struct Slot {

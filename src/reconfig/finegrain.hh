@@ -73,8 +73,10 @@ class FinegrainController : public ReconfigController
      *  aliased table slot (the resident entry is never evicted). */
     std::uint64_t tableConflicts() const { return tableConflicts_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    bool loadState(SnapshotReader &r) override;
+    bool checkpoint(SnapshotWriter &w) const override;
+    bool checkpoint(SnapshotReader &r) override;
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     struct TableEntry {

@@ -74,8 +74,10 @@ class IneffectualityController : public ReconfigController
     /** Wasted-fetch fraction of the last completed interval. */
     double lastWastedFraction() const { return lastFraction_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    bool loadState(SnapshotReader &r) override;
+    bool checkpoint(SnapshotWriter &w) const override;
+    bool checkpoint(SnapshotReader &r) override;
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     void endInterval();

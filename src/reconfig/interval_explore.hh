@@ -72,8 +72,10 @@ class IntervalExploreController : public ReconfigController
     std::uint64_t changesFromMemrefs() const { return chgMem_; }
     std::uint64_t changesFromIpc() const { return chgIpc_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    bool loadState(SnapshotReader &r) override;
+    bool checkpoint(SnapshotWriter &w) const override;
+    bool checkpoint(SnapshotReader &r) override;
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     void endInterval(Cycle now);

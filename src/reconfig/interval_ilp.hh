@@ -61,8 +61,10 @@ class IntervalIlpController : public ReconfigController
     bool measuring() const { return measuring_; }
     std::uint64_t phaseChanges() const { return phaseChanges_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    bool loadState(SnapshotReader &r) override;
+    bool checkpoint(SnapshotWriter &w) const override;
+    bool checkpoint(SnapshotReader &r) override;
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     void endInterval(Cycle now);

@@ -83,8 +83,10 @@ class OracleController : public ReconfigController
     std::uint64_t committed() const { return committed_; }
     const std::vector<int> &schedule() const { return schedule_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    bool loadState(SnapshotReader &r) override;
+    bool checkpoint(SnapshotWriter &w) const override;
+    bool checkpoint(SnapshotReader &r) override;
+    /** Checkpointed fields (defined in core/snapshot_io.cc). */
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     int targetAt(std::uint64_t committed) const;

@@ -44,7 +44,7 @@ std::string
 serializeSnapshot(const Processor::Snapshot &s)
 {
     SnapshotWriter w;
-    s.save(w);
+    Processor::Snapshot::io(s, w);
     return w.take();
 }
 
@@ -53,7 +53,7 @@ deserializeSnapshot(const std::string &payload,
                     Processor::Snapshot &donor)
 {
     SnapshotReader r(payload);
-    return donor.load(r);
+    return Processor::Snapshot::io(donor, r) && r.atEnd();
 }
 
 WarmupCheckpointStore::WarmupCheckpointStore(std::string dir,

@@ -1,18 +1,13 @@
 #include "reconfig/probe.hh"
 
-void
-ProbeController::saveState(SnapshotWriter &w) const
+template <class Self, class A>
+bool
+ProbeController::io(Self &s, A &a)
 {
-    w.u64(committed_);
-    w.u32(orphanCount_);
-    // ghostTarget_ is never written: checkpoints drop it.
+    a.field(s.committed_);
+    a.field(s.orphanCount_);
+    // ghostTarget_ is never listed: checkpoints drop it.
+    return a.ok();
 }
 
-bool
-ProbeController::loadState(SnapshotReader &r)
-{
-    committed_ = r.u64();
-    ghostTarget_ = r.u32();
-    // orphanCount_ is never read back.
-    return r.atEnd();
-}
+// OrphanTracker::io() is never defined: nothing audits its members.

@@ -1,8 +1,9 @@
 // Miniature controller checkpoint pipeline for the S005 self-test:
-// ghostTarget_ escapes saveState() and orphanCount_ escapes
-// loadState(), and both must be reported; committed_ is fully covered
-// and params_ carries a reasoned ignore, so both must stay silent.
-// The inline method and the nested struct probe the member parser: a
+// ghostTarget_ is missing from ProbeController::io(), and
+// OrphanTracker declares an io() that snapshot_io.cc never defines;
+// both must be reported. committed_ and orphanCount_ are listed and
+// params_ carries a reasoned ignore, so they must stay silent. The
+// inline method and the nested struct probe the member parser: a
 // signature's parens must not swallow the member after the body, and
 // a nested type is not a data member.
 class SnapshotWriter;
@@ -10,9 +11,10 @@ class SnapshotReader;
 
 class ProbeController {
   public:
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    bool checkpoint(SnapshotWriter &w) const;
+    bool checkpoint(SnapshotReader &r);
     int targetClusters() const { return ghostTarget_; }
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     struct TableEntry {
@@ -22,6 +24,14 @@ class ProbeController {
     // simlint-ignore(S005): constructor identity, rebuilt by the factory
     int params_ = 0;
     unsigned long committed_ = 0;
-    int ghostTarget_ = 16; // loaded, but saveState() never writes it
-    int orphanCount_ = 0;  // saved, but loadState() never reads it
+    int ghostTarget_ = 16; // never listed: checkpoints drop it
+    int orphanCount_ = 0;
+};
+
+class OrphanTracker {
+  public:
+    template <class Self, class A> static bool io(Self &s, A &a);
+
+  private:
+    int depth_ = 0;
 };

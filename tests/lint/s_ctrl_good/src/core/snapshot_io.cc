@@ -1,18 +1,11 @@
 #include "reconfig/probe.hh"
 
-void
-ProbeController::saveState(SnapshotWriter &w) const
-{
-    w.u64(committed_);
-    w.u32(ghostTarget_);
-    w.u32(orphanCount_);
-}
-
+template <class Self, class A>
 bool
-ProbeController::loadState(SnapshotReader &r)
+ProbeController::io(Self &s, A &a)
 {
-    committed_ = r.u64();
-    ghostTarget_ = r.u32();
-    orphanCount_ = r.u32();
-    return r.atEnd();
+    a.field(s.committed_);
+    a.field(s.ghostTarget_);
+    a.field(s.orphanCount_);
+    return a.ok();
 }

@@ -1,14 +1,15 @@
-// The S005 self-test's covered twin: every dynamic member flows
-// through both checkpoint legs, and the one identity member carries a
-// written suppression. The tree must lint clean.
+// The S005 self-test's covered twin: every dynamic member is listed in
+// io(), and the one identity member carries a written suppression. The
+// tree must lint clean.
 class SnapshotWriter;
 class SnapshotReader;
 
 class ProbeController {
   public:
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    bool checkpoint(SnapshotWriter &w) const;
+    bool checkpoint(SnapshotReader &r);
     int targetClusters() const { return ghostTarget_; }
+    template <class Self, class A> static bool io(Self &s, A &a);
 
   private:
     struct TableEntry {

@@ -1,19 +1,11 @@
 #include "core/processor.hh"
 
-void
-Processor::Snapshot::save(SnapshotWriter &w) const
-{
-    w.u32(cycle);
-    w.u32(ghostPending);
-    w.u32(orphanCounter);
-    // shadowDepth is never written: checkpoints drop it.
-}
-
+template <class Self, class A>
 bool
-Processor::Snapshot::load(SnapshotReader &r)
+Processor::Snapshot::io(Self &s, A &a)
 {
-    cycle = r.u32();
-    ghostPending = r.u32();
-    // orphanCounter is never read back.
-    return r.atEnd();
+    a.field(s.cycle);
+    a.field(s.ghostPending);
+    // shadowDepth is never listed: checkpoints drop it.
+    return a.ok();
 }

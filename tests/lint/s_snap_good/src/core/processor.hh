@@ -1,9 +1,6 @@
 // Fully covered miniature snapshot pipeline: every field flows
-// through restore(), save(), and load(), and the one intentionally
-// transient field carries a written S004 suppression.
-class SnapshotWriter;
-class SnapshotReader;
-
+// through restore() and io(), and the one intentionally transient
+// field carries a written S004 suppression.
 struct Processor {
     struct Snapshot;
     void restore(const Snapshot &s);
@@ -17,6 +14,5 @@ struct Processor::Snapshot {
     // simlint-ignore(S004): derived debug scratch, recomputed on
     // restore; deliberately outside the serialized state.
     int debugScratch = 0;
-    void save(SnapshotWriter &w) const;
-    bool load(SnapshotReader &r);
+    template <class Self, class A> static bool io(Self &s, A &a);
 };

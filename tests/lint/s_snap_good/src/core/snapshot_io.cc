@@ -1,16 +1,10 @@
 #include "core/processor.hh"
 
-void
-Processor::Snapshot::save(SnapshotWriter &w) const
-{
-    w.u32(cycle);
-    w.u32(pendingTarget);
-}
-
+template <class Self, class A>
 bool
-Processor::Snapshot::load(SnapshotReader &r)
+Processor::Snapshot::io(Self &s, A &a)
 {
-    cycle = r.u32();
-    pendingTarget = r.u32();
-    return r.atEnd();
+    a.field(s.cycle);
+    a.field(s.pendingTarget);
+    return a.ok();
 }

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -38,6 +39,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/sha256.hh"
 #include "core/processor.hh"
 #include "core/snapshot_io.hh"
 #include "reconfig/oracle.hh"
@@ -177,24 +179,17 @@ corruptAllBlobs(const std::string &dir)
     return corrupted;
 }
 
-} // namespace
+/** One controller family of the serialization round trip. */
+struct ControllerCase {
+    const char *name;
+    std::function<std::unique_ptr<ReconfigController>()> make;
+};
 
-// ---------------------------------------------------------------------------
-// Serialization round trip
-// ---------------------------------------------------------------------------
-
-TEST(Checkpoint, SerializedRoundTripMatchesStraightLine)
+/** Every controller family that checkpoints state, plus none. */
+std::vector<ControllerCase>
+controllerCases()
 {
-    // save -> serialize -> deserialize into a *fresh* processor's donor
-    // snapshot -> restore -> run must be bit-identical to the
-    // uninterrupted run. The fresh image is the point: nothing may leak
-    // through shared in-process state, which is what cross-process
-    // reuse of on-disk blobs relies on.
-    struct Case {
-        const char *name;
-        std::function<std::unique_ptr<ReconfigController>()> make;
-    };
-    const Case cases[] = {
+    return {
         {"static", nullptr},
         {"explore", [] { return makeExploreController(); }},
         {"ilp", [] { return makeIlpController(10000); }},
@@ -212,16 +207,46 @@ TEST(Checkpoint, SerializedRoundTripMatchesStraightLine)
                  1, std::move(sched));
          }},
     };
-    const std::pair<const char *, InterconnectKind> kinds[] = {
-        {"ring", InterconnectKind::Ring},
-        {"grid", InterconnectKind::Grid},
-    };
+}
 
+const std::pair<const char *, InterconnectKind> kinds[] = {
+    {"ring", InterconnectKind::Ring},
+    {"grid", InterconnectKind::Grid},
+};
+
+/** Serialized post-warmup snapshot of `cfg` after kWarmup instructions. */
+std::string
+warmPayload(const ProcessorConfig &cfg,
+            std::shared_ptr<const ReplayBuffer> buf,
+            const ControllerCase &c)
+{
+    ReplaySource src(std::move(buf));
+    std::unique_ptr<ReconfigController> ctrl;
+    if (c.make)
+        ctrl = c.make();
+    Processor proc(cfg, &src, ctrl.get());
+    proc.run(kWarmup);
+    return serializeSnapshot(proc.snapshot());
+}
+
+} // namespace
+
+// ---------------------------------------------------------------------------
+// Serialization round trip
+// ---------------------------------------------------------------------------
+
+TEST(Checkpoint, SerializedRoundTripMatchesStraightLine)
+{
+    // save -> serialize -> deserialize into a *fresh* processor's donor
+    // snapshot -> restore -> run must be bit-identical to the
+    // uninterrupted run. The fresh image is the point: nothing may leak
+    // through shared in-process state, which is what cross-process
+    // reuse of on-disk blobs relies on.
     WorkloadSpec w = makeBenchmark("gzip");
     for (const auto &[kind_name, kind] : kinds) {
         ProcessorConfig cfg = clusteredConfig(16, kind);
         auto buf = makeBuffer(w, cfg, kWarmup + kMeasure);
-        for (const Case &c : cases) {
+        for (const ControllerCase &c : controllerCases()) {
             SCOPED_TRACE(std::string(kind_name) + "/" + c.name);
 
             SimResult straight = straightLine(
@@ -229,16 +254,7 @@ TEST(Checkpoint, SerializedRoundTripMatchesStraightLine)
                 kMeasure);
 
             // Producer: warm up, serialize the post-warmup snapshot.
-            std::string payload;
-            {
-                ReplaySource src(buf);
-                std::unique_ptr<ReconfigController> ctrl;
-                if (c.make)
-                    ctrl = c.make();
-                Processor proc(cfg, &src, ctrl.get());
-                proc.run(kWarmup);
-                payload = serializeSnapshot(proc.snapshot());
-            }
+            std::string payload = warmPayload(cfg, buf, c);
             EXPECT_FALSE(payload.empty());
 
             // Consumer: a fresh image restores the blob and measures.
@@ -256,6 +272,61 @@ TEST(Checkpoint, SerializedRoundTripMatchesStraightLine)
             EXPECT_EQ(toJson(straight), toJson(restored));
         }
     }
+}
+
+TEST(Checkpoint, SerializedBytesArePinned)
+{
+    // The checkpoint format is a contract with every store already on
+    // disk: changing how the serializer is written must not change a
+    // single byte it emits. Each digest is the sha256 of
+    // serializeSnapshot() after the gzip warmup of the round-trip test
+    // above; a layout change must bump snapshotFormatVersion and the
+    // checkpoint salt, then re-pin these.
+    const std::map<std::string, std::string> pinned = {
+        {"grid/explore",
+         "5ec7483b9216db0b4560f5e8880c3817021a152189511e9bffaf8c56fd86a18c"},
+        {"grid/finegrain",
+         "23e3404db4510e3333e277ff66aee66cc8b241b79951c901bd005270e06961c5"},
+        {"grid/ilp",
+         "fbe0f678fa98951d82b98c76b88102d313e145ea47e20039480e602e09219202"},
+        {"grid/ineffectuality",
+         "a33694a4ab104d96f59ec2aaad76ca640ddad712ec49c05975191daa18f060b9"},
+        {"grid/oracle",
+         "79506f8461e3808cd8604ba95538164891c848cc22ead2f52d11cf49e3632205"},
+        {"grid/static",
+         "fa727c9ed8876d1f6b10dfb5b5c4c2c8274817c1c69ecfca2bbdcead33e95cc1"},
+        {"ring-decentralized/static",
+         "71fbfcd63e4d0e56949a8318e02d584a887974fca680f53cdb47b747c0e3ad25"},
+        {"ring/explore",
+         "8cb2a43ddfa663032d15158b1e15155877eafb22e2d764148e05fabef9b93e0c"},
+        {"ring/finegrain",
+         "cca826b4c63cc70ef1d96749f929309dd2a8418397c7280e42df3248394f8147"},
+        {"ring/ilp",
+         "209ae4c462ea3b805c8e14e4c9d84390e0e0aa989a35fc353af10887264a0678"},
+        {"ring/ineffectuality",
+         "0bbff02b67711f7878ce27f4d11f90480b48088bd74231299e2b4bf0469aad7b"},
+        {"ring/oracle",
+         "ad61bbc83c73ecb7cd130cff576010fd41737ca972f8441e4aa1365c4408eb08"},
+        {"ring/static",
+         "55ba410b7c03f0a4ac081ee5a4d1d719a962663269f8cb6c6d03e7240979ea27"},
+    };
+
+    WorkloadSpec w = makeBenchmark("gzip");
+    std::map<std::string, std::string> got;
+    for (const auto &[kind_name, kind] : kinds) {
+        ProcessorConfig cfg = clusteredConfig(16, kind);
+        auto buf = makeBuffer(w, cfg, kWarmup);
+        for (const ControllerCase &c : controllerCases())
+            got[std::string(kind_name) + "/" + c.name] =
+                sha256Hex(warmPayload(cfg, buf, c));
+    }
+    ProcessorConfig dcfg =
+        clusteredConfig(16, InterconnectKind::Ring, true);
+    got["ring-decentralized/static"] =
+        sha256Hex(warmPayload(dcfg, makeBuffer(w, dcfg, kWarmup),
+                              {"static", nullptr}));
+
+    EXPECT_EQ(got, pinned);
 }
 
 TEST(Checkpoint, MalformedPayloadsRejected)
@@ -297,6 +368,33 @@ TEST(Checkpoint, MalformedPayloadsRejected)
         other.run(kWarmup);
         EXPECT_TRUE(rejects(serializeSnapshot(other.snapshot())));
     }
+
+    // In-range lengths carrying out-of-range values: the writer emits
+    // whatever the snapshot holds, so each of these reaches the
+    // loader's range checks rather than a length or shape check.
+    auto tampered = [&](const std::function<void(Processor::Snapshot &)>
+                            &edit) {
+        Processor::Snapshot s = proc.snapshot();
+        edit(s);
+        return serializeSnapshot(s);
+    };
+    EXPECT_TRUE(rejects(tampered([](Processor::Snapshot &s) {
+        s.activeClusters = maxClusters + 1;
+    })));
+    EXPECT_TRUE(rejects(
+        tampered([](Processor::Snapshot &s) { s.pendingTarget = -1; })));
+    EXPECT_TRUE(rejects(tampered([](Processor::Snapshot &s) {
+        s.armedPending = static_cast<int>(s.pendingLoads.size()) + 1;
+    })));
+    EXPECT_TRUE(rejects(tampered([](Processor::Snapshot &s) {
+        // StallCause::Reg is the last enumerator.
+        using Stall = decltype(s.lastDispatchStall);
+        s.lastDispatchStall = static_cast<Stall>(
+            static_cast<int>(Stall::Reg) + 1);
+    })));
+    EXPECT_TRUE(rejects(tampered([](Processor::Snapshot &s) {
+        s.pendingLoads.resize(s.rob.capacity() + 1, 1);
+    })));
 
     // The intact payload still loads (the donor above was untouched by
     // all the failures -- each rejects() used its own).

@@ -201,14 +201,14 @@ TEST(SimlintSelfTest, SnapshotRuleCatchesEscapedFields)
                            tree + "/src");
     EXPECT_NE(r.exitCode, 0);
     // Each fixture field escapes a different leg of the checkpoint
-    // path: ghostPending is never applied by restore(), orphanCounter
-    // is saved but never loaded, shadowDepth is never serialized.
+    // path: ghostPending is never applied by restore(), shadowDepth is
+    // never listed in the snapshot's io().
     EXPECT_NE(r.output.find("S004"), std::string::npos) << r.output;
-    EXPECT_NE(r.output.find("ghostPending"), std::string::npos)
+    EXPECT_NE(r.output.find("ghostPending is not applied"),
+              std::string::npos)
         << r.output;
-    EXPECT_NE(r.output.find("orphanCounter"), std::string::npos)
-        << r.output;
-    EXPECT_NE(r.output.find("shadowDepth"), std::string::npos)
+    EXPECT_NE(r.output.find("shadowDepth is not listed"),
+              std::string::npos)
         << r.output;
     // The fully covered field stays silent.
     EXPECT_EQ(r.output.find("Snapshot::cycle"), std::string::npos)
@@ -217,7 +217,7 @@ TEST(SimlintSelfTest, SnapshotRuleCatchesEscapedFields)
 
 TEST(SimlintSelfTest, SnapshotRulePassesOnCoveredTree)
 {
-    // Full restore/save/load coverage plus one deliberately transient
+    // Full restore/io coverage plus one deliberately transient
     // field behind a written S004 suppression: clean.
     std::string tree = fixture("s_snap_good");
     LintRun r = runSimlint("--quiet --project-root " + tree + " " +
@@ -232,17 +232,18 @@ TEST(SimlintSelfTest, ControllerRuleCatchesEscapedState)
     LintRun r = runSimlint("--quiet --project-root " + tree + " " +
                            tree + "/src");
     EXPECT_NE(r.exitCode, 0);
-    // Each fixture member escapes one leg of the controller checkpoint
-    // path: ghostTarget_ is never written by saveState(), orphanCount_
-    // is saved but never read back by loadState().
+    // ghostTarget_ is missing from ProbeController::io(), and
+    // OrphanTracker declares an io() that is never defined.
     EXPECT_NE(r.output.find("S005"), std::string::npos) << r.output;
     EXPECT_NE(r.output.find("ghostTarget_"), std::string::npos)
         << r.output;
-    EXPECT_NE(r.output.find("orphanCount_"), std::string::npos)
+    EXPECT_NE(r.output.find("OrphanTracker::io()"), std::string::npos)
         << r.output;
-    // The covered member and the suppressed identity member stay
+    // The listed members and the suppressed identity member stay
     // silent, and the nested type is not mistaken for a data member.
     EXPECT_EQ(r.output.find("committed_"), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("orphanCount_"), std::string::npos)
         << r.output;
     EXPECT_EQ(r.output.find("params_"), std::string::npos) << r.output;
     EXPECT_EQ(r.output.find("TableEntry"), std::string::npos)
@@ -251,7 +252,7 @@ TEST(SimlintSelfTest, ControllerRuleCatchesEscapedState)
 
 TEST(SimlintSelfTest, ControllerRulePassesOnCoveredTree)
 {
-    // Full saveState()/loadState() coverage plus one identity member
+    // Full io() coverage plus one identity member
     // behind a written S005 suppression: clean.
     std::string tree = fixture("s_ctrl_good");
     LintRun r = runSimlint("--quiet --project-root " + tree + " " +

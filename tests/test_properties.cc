@@ -10,8 +10,10 @@
  * generator: bit-identical determinism of repeated runs, the
  * controller attach() reset contract (a reused controller must
  * reproduce a fresh controller's run exactly -- the PR 1 state-leak
- * class), and idle-cycle-skip equivalence (fast-forwarding must be
- * invisible in every ProcessorStats field).
+ * class), idle-cycle-skip equivalence (fast-forwarding must be
+ * invisible in every ProcessorStats field), and the checkpoint round
+ * trip (a serialized warm snapshot restored into a fresh processor
+ * continues like the uninterrupted run).
  *
  * Budget knobs (environment):
  *   CLUSTERSIM_FUZZ_RUNS  cases for the invariant sweep (default 250)
@@ -21,11 +23,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <string>
 
 #include "check/fuzz.hh"
 #include "core/processor.hh"
+#include "sim/checkpoint.hh"
 #include "sim/presets.hh"
 #include "sim/simulation.hh"
+#include "workload/replay.hh"
 #include "workload/synthetic.hh"
 
 using namespace clustersim;
@@ -234,6 +240,49 @@ TEST(Properties, ReusedControllersMatchFreshControllers)
                              describeCase(c));
     }
     EXPECT_EQ(exercised, runs);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint round trip: a serialized post-warmup snapshot, loaded into
+// a fresh processor of the same shape, continues exactly like the
+// uninterrupted run -- across the machine shapes (cluster counts, grid,
+// decentralized L1 banks, LSQ sizes) and controllers the fixed-shape
+// checkpoint tests do not reach.
+// ---------------------------------------------------------------------------
+
+TEST(Properties, SerializedRoundTripMatchesStraightLine)
+{
+    const std::uint64_t runs = 20;
+    Rng rng(fuzzSeed() ^ 0xc4e3c4e3ULL);
+    for (std::uint64_t i = 0; i < runs; i++) {
+        FuzzCase c = randomCase(rng);
+        std::string what =
+            "case " + std::to_string(i) + ": " + describeCase(c);
+        ProcessorConfig cfg = fuzzConfig(c);
+        auto buf = std::make_shared<const ReplayBuffer>(
+            fuzzWorkload(c), c.warmup + c.measure + replayMargin(cfg));
+
+        SimResult straight;
+        std::string payload;
+        {
+            ReplaySource src(buf);
+            std::unique_ptr<ReconfigController> ctrl = fuzzController(c);
+            Processor proc(cfg, &src, ctrl.get());
+            proc.run(c.warmup);
+            payload = serializeSnapshot(proc.snapshot());
+            proc.resetStats();
+            straight = measureWindow(proc, c.measure);
+        }
+
+        ReplaySource src(buf);
+        std::unique_ptr<ReconfigController> ctrl = fuzzController(c);
+        Processor proc(cfg, &src, ctrl.get());
+        Processor::Snapshot donor = proc.snapshot();
+        ASSERT_TRUE(deserializeSnapshot(payload, donor)) << what;
+        proc.restore(donor);
+        proc.resetStats();
+        expectSameResult(straight, measureWindow(proc, c.measure), what);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -124,14 +124,14 @@ const RuleInfo ruleTable[] = {
      "aggregate or touch every field"},
     {"S004", "snapshot field missing from restore/serialize path",
      "every Processor::Snapshot member must be applied by "
-     "Processor::restore() and serialized by Snapshot::save()/load() "
-     "in src/core/snapshot_io.cc, or warmup checkpoints silently "
-     "drop it"},
+     "Processor::restore() and listed in Snapshot::io() in "
+     "src/core/snapshot_io.cc, or warmup checkpoints silently drop it"},
     {"S005", "controller state missing from checkpoint path",
-     "every data member of a controller with saveState()/loadState() "
-     "definitions in src/core/snapshot_io.cc must flow through both, "
-     "or carry a reasoned simlint-ignore(S005) when it is identity "
-     "(factory-rebuilt), not dynamic state"},
+     "every data member of a src/reconfig class that declares io() "
+     "must be listed in its io() definition in "
+     "src/core/snapshot_io.cc, or carry a reasoned "
+     "simlint-ignore(S005) when it is identity (factory-rebuilt), not "
+     "dynamic state"},
     {"T001", "ungated trace-sink access in hot path",
      "route the hook through CSIM_TRACE so a default build compiles "
      "it out; raw TraceSink/currentTraceSink use belongs in cold code"},
@@ -449,6 +449,22 @@ suppressed(const FileScan &f, int line, const std::string &rule)
     return it->second.count(rule) || it->second.count("*");
 }
 
+/** Read, lex and parse the directives of a project file that is not
+ *  on the command line (the cross-file S rules); false if unreadable. */
+bool
+readLexed(const fs::path &p, FileScan &f)
+{
+    std::ifstream in(p);
+    if (!in)
+        return false;
+    std::stringstream ss;
+    ss << in.rdbuf();
+    f.path = p.string();
+    f.lx = lex(ss.str());
+    parseDirectives(f);
+    return true;
+}
+
 // ---------------------------------------------------------------------------
 // Scan helpers
 // ---------------------------------------------------------------------------
@@ -691,28 +707,6 @@ classBodyFields(const std::vector<Tok> &t, std::size_t braceIdx)
 }
 
 /**
- * Data members of class/struct `name`, skipping any base-class clause
- * between the name and the body (which the plain struct finder cannot
- * see past). Forward declarations are skipped, not matched.
- */
-std::vector<FieldDef>
-classFields(const LexedFile &lx, const std::string &name)
-{
-    const std::vector<Tok> &t = lx.toks;
-    for (std::size_t i = 0; i + 2 < t.size(); i++) {
-        if (!((t[i].text == "struct" || t[i].text == "class") &&
-              t[i + 1].text == name))
-            continue;
-        std::size_t j = i + 2;
-        while (j < t.size() && t[j].text != "{" && t[j].text != ";")
-            j++;
-        if (j < t.size() && t[j].text == "{")
-            return classBodyFields(t, j);
-    }
-    return {};
-}
-
-/**
  * Data members of an out-of-line nested definition
  * `struct outer::name { ... }` (e.g. `struct Processor::Snapshot`),
  * which the unqualified finder cannot see.
@@ -732,12 +726,12 @@ qualifiedStructFields(const LexedFile &lx, const std::string &outer,
     return {};
 }
 
-/** All identifier texts in a lexed file. */
+/** All identifier texts in a token run (a file, a method body). */
 std::set<std::string>
-identSet(const LexedFile &lx)
+identSet(const std::vector<Tok> &toks)
 {
     std::set<std::string> out;
-    for (const Tok &t : lx.toks)
+    for (const Tok &t : toks)
         if (t.kind == Tok::Ident)
             out.insert(t.text);
     return out;
@@ -776,6 +770,24 @@ methodBody(const LexedFile &lx, const std::string &cls,
         }
     }
     return {};
+}
+
+/** True when the class body opening at braceIdx declares a member
+ *  function `name` directly (not in a nested type or body). */
+bool
+declaresMethod(const std::vector<Tok> &t, std::size_t braceIdx,
+               const char *name)
+{
+    int depth = 0;
+    for (std::size_t j = braceIdx; j < t.size(); j++) {
+        if (t[j].text == "{")
+            depth++;
+        else if (t[j].text == "}" && --depth == 0)
+            break;
+        else if (depth == 1 && t[j].text == name && tokIs(t, j + 1, "("))
+            return true;
+    }
+    return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -1477,22 +1489,10 @@ Linter::statsRules()
     const fs::path sweepCc = root / "src/sim/sweep.cc";
     const fs::path propCc = root / "tests/test_properties.cc";
 
-    auto readLex = [](const fs::path &p, FileScan &f) {
-        std::ifstream in(p);
-        if (!in)
-            return false;
-        std::stringstream ss;
-        ss << in.rdbuf();
-        f.path = p.string();
-        f.lx = lex(ss.str());
-        parseDirectives(f);
-        return true;
-    };
-
     FileScan fProcHh, fProcCc, fSimHh, fSimCc, fSweep, fProp;
-    if (!readLex(procHh, fProcHh) || !readLex(procCc, fProcCc) ||
-        !readLex(simHh, fSimHh) || !readLex(simCc, fSimCc) ||
-        !readLex(sweepCc, fSweep) || !readLex(propCc, fProp)) {
+    if (!readLexed(procHh, fProcHh) || !readLexed(procCc, fProcCc) ||
+        !readLexed(simHh, fSimHh) || !readLexed(simCc, fSimCc) ||
+        !readLexed(sweepCc, fSweep) || !readLexed(propCc, fProp)) {
         // Not a full project tree (e.g. linting a subset); S rules
         // need the whole stats pipeline to cross-check.
         if (!opts_.quiet)
@@ -1516,7 +1516,7 @@ Linter::statsRules()
 
     // S001: every ProcessorStats field is exhaustively compared by the
     // determinism property suite.
-    std::set<std::string> propIds = identSet(fProp.lx);
+    std::set<std::string> propIds = identSet(fProp.lx.toks);
     for (const FieldDef &fd : psFields) {
         if (!propIds.count(fd.name)) {
             if (!suppressed(fProcHh, fd.line, "S001"))
@@ -1530,8 +1530,8 @@ Linter::statsRules()
 
     // S002: every SimResult field is populated by the metric-extraction
     // path and written by the JSON exporter feeding golden runs.
-    std::set<std::string> simIds = identSet(fSimCc.lx);
-    std::set<std::string> sweepIds = identSet(fSweep.lx);
+    std::set<std::string> simIds = identSet(fSimCc.lx.toks);
+    std::set<std::string> sweepIds = identSet(fSweep.lx.toks);
     for (const FieldDef &fd : srFields) {
         if (suppressed(fSimHh, fd.line, "S002"))
             continue;
@@ -1586,21 +1586,9 @@ Linter::snapshotRules()
     const fs::path procCc = root / "src/core/processor.cc";
     const fs::path snapCc = root / "src/core/snapshot_io.cc";
 
-    auto readLex = [](const fs::path &p, FileScan &f) {
-        std::ifstream in(p);
-        if (!in)
-            return false;
-        std::stringstream ss;
-        ss << in.rdbuf();
-        f.path = p.string();
-        f.lx = lex(ss.str());
-        parseDirectives(f);
-        return true;
-    };
-
     FileScan fProcHh, fProcCc, fSnapCc;
-    if (!readLex(procHh, fProcHh) || !readLex(procCc, fProcCc) ||
-        !readLex(snapCc, fSnapCc)) {
+    if (!readLexed(procHh, fProcHh) || !readLexed(procCc, fProcCc) ||
+        !readLexed(snapCc, fSnapCc)) {
         // Not a full project tree; the snapshot cross-check needs the
         // declaration, the restore path, and the serializer together.
         if (!opts_.quiet)
@@ -1620,35 +1608,23 @@ Linter::snapshotRules()
         return;
     }
 
-    // S004: every Snapshot member must flow through all three legs of
-    // the checkpoint path — applied by Processor::restore(), written
-    // by Snapshot::save(), and read back by Snapshot::load(). A member
-    // missing anywhere means warmup checkpoints silently drop state
-    // and restored runs diverge from straight-line warmup.
+    // S004: every Snapshot member must flow through both legs of the
+    // checkpoint path -- applied by Processor::restore() and listed in
+    // Snapshot::io(), the one field walk that both writes and reads
+    // checkpoints. A member missing from either means warmup
+    // checkpoints silently drop state and restored runs diverge from
+    // straight-line warmup.
     std::vector<Tok> restoreBody =
         methodBody(fProcCc.lx, "Processor", "restore");
-    std::vector<Tok> saveBody =
-        methodBody(fSnapCc.lx, "Snapshot", "save");
-    std::vector<Tok> loadBody =
-        methodBody(fSnapCc.lx, "Snapshot", "load");
-    if (restoreBody.empty() || saveBody.empty() || loadBody.empty()) {
+    std::vector<Tok> ioBody = methodBody(fSnapCc.lx, "Snapshot", "io");
+    if (restoreBody.empty() || ioBody.empty()) {
         emitRaw({fSnapCc.path, 1, "S004",
-                 "Processor::restore() / Snapshot::save() / "
-                 "Snapshot::load() definition not found; the snapshot "
-                 "coverage cross-check is blind"});
+                 "Processor::restore() / Snapshot::io() definition not "
+                 "found; the snapshot coverage cross-check is blind"});
         return;
     }
-
-    auto idents = [](const std::vector<Tok> &body) {
-        std::set<std::string> out;
-        for (const Tok &t : body)
-            if (t.kind == Tok::Ident)
-                out.insert(t.text);
-        return out;
-    };
-    std::set<std::string> restoreIds = idents(restoreBody);
-    std::set<std::string> saveIds = idents(saveBody);
-    std::set<std::string> loadIds = idents(loadBody);
+    std::set<std::string> restoreIds = identSet(restoreBody);
+    std::set<std::string> ioIds = identSet(ioBody);
 
     for (const FieldDef &fd : snapFields) {
         if (suppressed(fProcHh, fd.line, "S004"))
@@ -1658,18 +1634,12 @@ Linter::snapshotRules()
                      "Processor::Snapshot::" + fd.name + " is not "
                      "applied by Processor::restore(); restored runs "
                      "would diverge from straight-line warmup"});
-        if (!saveIds.count(fd.name))
+        if (!ioIds.count(fd.name))
             emitRaw({fProcHh.path, fd.line, "S004",
                      "Processor::Snapshot::" + fd.name + " is not "
-                     "written by Snapshot::save() in "
+                     "listed in Snapshot::io() in "
                      "src/core/snapshot_io.cc; serialized checkpoints "
                      "would silently drop it"});
-        else if (!loadIds.count(fd.name))
-            emitRaw({fProcHh.path, fd.line, "S004",
-                     "Processor::Snapshot::" + fd.name + " is not read "
-                     "back by Snapshot::load() in "
-                     "src/core/snapshot_io.cc; deserialized "
-                     "checkpoints would silently drop it"});
     }
 }
 
@@ -1677,122 +1647,54 @@ void
 Linter::controllerRules()
 {
     const fs::path root = opts_.projectRoot;
-    const fs::path snapCc = root / "src/core/snapshot_io.cc";
-
-    auto readLex = [](const fs::path &p, FileScan &f) {
-        std::ifstream in(p);
-        if (!in)
-            return false;
-        std::stringstream ss;
-        ss << in.rdbuf();
-        f.path = p.string();
-        f.lx = lex(ss.str());
-        parseDirectives(f);
-        return true;
-    };
-
     FileScan fSnapCc;
-    if (!readLex(snapCc, fSnapCc))
+    if (!readLexed(root / "src/core/snapshot_io.cc", fSnapCc))
         return;  // no serializer in this tree; S004 already noted it
 
-    // S005 audits every controller that participates in checkpointing:
-    // a class counts as soon as snapshot_io.cc defines its saveState().
-    // Nothing to audit is not an error -- trees without controller
-    // serialization (the fixture trees) stay silent.
-    const std::vector<Tok> &st = fSnapCc.lx.toks;
-    std::vector<std::string> classes;
-    for (std::size_t i = 0; i + 3 < st.size(); i++) {
-        if (st[i].kind != Tok::Ident || st[i + 1].text != ":" ||
-            st[i + 2].text != ":" || st[i + 3].text != "saveState")
+    // S005 audits every class in src/reconfig/*.hh that declares a
+    // static io() field list (the checkpointed controllers and their
+    // parts): its definition in snapshot_io.cc must name every data
+    // member. Headers are lexed in sorted order for deterministic
+    // diagnostics; a tree with no such class stays silent.
+    std::vector<fs::path> paths;
+    std::error_code ec;
+    for (auto it = fs::directory_iterator(root / "src/reconfig", ec);
+         it != fs::directory_iterator(); ++it)
+        if (it->path().extension() == ".hh")
+            paths.push_back(it->path());
+    std::sort(paths.begin(), paths.end());
+
+    for (const fs::path &p : paths) {
+        FileScan hdr;
+        if (!readLexed(p, hdr))
             continue;
-        const std::string &cls = st[i].text;
-        if (methodBody(fSnapCc.lx, cls, "saveState").empty())
-            continue;  // declaration or call site, not a definition
-        bool seen = false;
-        for (const std::string &c : classes)
-            seen = seen || c == cls;
-        if (!seen)
-            classes.push_back(cls);
-    }
-    if (classes.empty())
-        return;
-
-    // The controllers declare their members in src/reconfig/*.hh; lex
-    // every header once, in sorted order for deterministic diagnostics.
-    std::vector<FileScan> headers;
-    {
-        std::vector<fs::path> paths;
-        std::error_code ec;
-        for (auto it = fs::directory_iterator(root / "src/reconfig", ec);
-             it != fs::directory_iterator(); ++it)
-            if (it->path().extension() == ".hh")
-                paths.push_back(it->path());
-        std::sort(paths.begin(), paths.end());
-        for (const fs::path &p : paths) {
-            FileScan f;
-            if (readLex(p, f))
-                headers.push_back(std::move(f));
-        }
-    }
-
-    for (const std::string &cls : classes) {
-        const FileScan *hdr = nullptr;
-        std::vector<FieldDef> fields;
-        for (const FileScan &f : headers) {
-            fields = classFields(f.lx, cls);
-            if (!fields.empty()) {
-                hdr = &f;
-                break;
-            }
-        }
-        if (!hdr) {
-            emitRaw({fSnapCc.path, 1, "S005",
-                     "could not parse the data members of " + cls +
-                     " in src/reconfig/*.hh; the controller checkpoint "
-                     "coverage cross-check is blind for it"});
-            continue;
-        }
-
-        std::vector<Tok> saveBody =
-            methodBody(fSnapCc.lx, cls, "saveState");
-        std::vector<Tok> loadBody =
-            methodBody(fSnapCc.lx, cls, "loadState");
-        if (loadBody.empty()) {
-            emitRaw({fSnapCc.path, 1, "S005",
-                     cls + "::loadState() definition not found in "
-                     "src/core/snapshot_io.cc; saved controller state "
-                     "could never be restored"});
-            continue;
-        }
-
-        auto idents = [](const std::vector<Tok> &body) {
-            std::set<std::string> out;
-            for (const Tok &t : body)
-                if (t.kind == Tok::Ident)
-                    out.insert(t.text);
-            return out;
-        };
-        std::set<std::string> saveIds = idents(saveBody);
-        std::set<std::string> loadIds = idents(loadBody);
-
-        for (const FieldDef &fd : fields) {
-            if (suppressed(*hdr, fd.line, "S005"))
+        const std::vector<Tok> &t = hdr.lx.toks;
+        for (const ClassDef &cd : classBodies(t)) {
+            if (!declaresMethod(t, cd.braceIdx, "io"))
                 continue;
-            if (!saveIds.count(fd.name))
-                emitRaw({hdr->path, fd.line, "S005",
-                         cls + "::" + fd.name + " is not written by " +
-                         cls + "::saveState() in "
-                         "src/core/snapshot_io.cc; checkpointed "
-                         "controllers would silently drop it (or "
-                         "simlint-ignore(S005) it with a reason if it "
-                         "is configuration-derived identity, not "
+            std::vector<Tok> body = methodBody(fSnapCc.lx, cd.name, "io");
+            std::vector<FieldDef> fields = classBodyFields(t, cd.braceIdx);
+            if (body.empty() || fields.empty()) {
+                emitRaw({hdr.path, t[cd.braceIdx].line, "S005",
+                         cd.name + "::io() definition in "
+                         "src/core/snapshot_io.cc or its data members "
+                         "not found; the controller checkpoint "
+                         "coverage cross-check is blind for it"});
+                continue;
+            }
+            std::set<std::string> ioIds = identSet(body);
+            for (const FieldDef &fd : fields) {
+                if (ioIds.count(fd.name) ||
+                    suppressed(hdr, fd.line, "S005"))
+                    continue;
+                emitRaw({hdr.path, fd.line, "S005",
+                         cd.name + "::" + fd.name + " is not listed in " +
+                         cd.name + "::io() in src/core/snapshot_io.cc; "
+                         "checkpointed controllers would silently drop "
+                         "it (or simlint-ignore(S005) it with a reason "
+                         "if it is configuration-derived identity, not "
                          "dynamic state)"});
-            else if (!loadIds.count(fd.name))
-                emitRaw({hdr->path, fd.line, "S005",
-                         cls + "::" + fd.name + " is not read back by " +
-                         cls + "::loadState() in "
-                         "src/core/snapshot_io.cc; restored controllers "
-                         "would silently drop it"});
+            }
         }
     }
 }
