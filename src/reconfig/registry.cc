@@ -1,7 +1,7 @@
 #include "reconfig/registry.hh"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <set>
 
@@ -70,15 +70,6 @@ paramF64(const PolicyParams &params, const std::string &key, double def)
     return v;
 }
 
-/** Shortest round-trip-stable decimal ("%g": 0.3, 80, 10000). */
-std::string
-numStr(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
-}
-
 /** Canonical `policy{k=v;...}` key; pairs must be pre-sorted. */
 std::string
 canonicalKey(const std::string &policy,
@@ -134,7 +125,8 @@ buildIvlIlp(const PolicyParams &params)
     p.distantPerMille = paramF64(params, "distant-per-mille", 300.0);
     return {canonicalKey(
                 "ivl-ilp",
-                {{"distant-per-mille", numStr(p.distantPerMille)},
+                {{"distant-per-mille",
+                  canonicalNumber(p.distantPerMille)},
                  {"interval", std::to_string(p.intervalLength)}}),
             [p] { return std::make_unique<IntervalIlpController>(p); }};
 }
@@ -176,10 +168,10 @@ buildIneffectuality(const PolicyParams &params)
     p.ungateThreshold = paramF64(params, "ungate", 0.15);
     return {canonicalKey(
                 "ineffectuality",
-                {{"gate", numStr(p.gateThreshold)},
+                {{"gate", canonicalNumber(p.gateThreshold)},
                  {"interval", std::to_string(p.intervalLength)},
-                 {"ungate", numStr(p.ungateThreshold)},
-                 {"waste", numStr(p.wastePerMispredict)}}),
+                 {"ungate", canonicalNumber(p.ungateThreshold)},
+                 {"waste", canonicalNumber(p.wastePerMispredict)}}),
             [p] {
                 return std::make_unique<IneffectualityController>(p);
             }};
@@ -217,6 +209,43 @@ extensions()
 }
 
 } // namespace
+
+std::string
+canonicalNumber(double v)
+{
+    // std::to_chars without a precision gives the shortest digits that
+    // parse back to exactly `v` ("%g" keeps 6 significant digits, so
+    // 80 and 80.0000001 would share a key).
+    char buf[32];
+    std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+    CSIM_ASSERT(r.ec == std::errc());
+    return std::string(buf, r.ptr);
+}
+
+bool
+parseControllerKey(const std::string &key, std::string &policy,
+                   PolicyParams &params)
+{
+    std::size_t open = key.find('{');
+    if (open == std::string::npos || open == 0 || key.back() != '}')
+        return false;
+    policy = key.substr(0, open);
+    params.clear();
+    std::string body = key.substr(open + 1, key.size() - open - 2);
+    std::size_t pos = 0;
+    while (pos < body.size()) {
+        std::size_t end = body.find(';', pos);
+        if (end == std::string::npos)
+            end = body.size();
+        std::size_t eq = body.find('=', pos);
+        if (eq == std::string::npos || eq >= end || eq == pos)
+            return false;
+        params[body.substr(pos, eq - pos)] =
+            body.substr(eq + 1, end - eq - 1);
+        pos = end + 1;
+    }
+    return true;
+}
 
 ControllerHandle
 makeController(const std::string &policy, const PolicyParams &params)

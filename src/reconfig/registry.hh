@@ -62,6 +62,21 @@ struct ControllerHandle {
 ControllerHandle makeController(const std::string &policy,
                                 const PolicyParams &params = {});
 
+/**
+ * The canonical spelling of a numeric parameter value: the shortest
+ * decimal that parses back to exactly `v` (0.3, 0.15, 80, 200), so two
+ * distinct values never share a key.
+ */
+std::string canonicalNumber(double v);
+
+/**
+ * Split a canonical `policy{k=v;...}` key back into its policy name and
+ * parameters. makeController(policy, params) rebuilds a handle with the
+ * same key. Returns false when `key` is not of that form.
+ */
+bool parseControllerKey(const std::string &key, std::string &policy,
+                        PolicyParams &params);
+
 /** Registered policy names, sorted; built-ins plus runtime additions. */
 std::vector<std::string> controllerPolicies();
 

@@ -1,13 +1,10 @@
 #include "sim/oracle_policy.hh"
 
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/thread_annotations.hh"
 #include "reconfig/oracle.hh"
 #include "sim/presets.hh"
 #include "sim/simulation.hh"
@@ -52,70 +49,131 @@ class RecordingProbeController : public ReconfigController
     TimeSeriesRecorder recorder_;
 };
 
-/**
- * Wraps a reactive policy and records its per-commit target
- * trajectory: targets()[n] is the desired cluster count in force after
- * the n-th commit (index 0 is the post-attach target). Replaying the
- * trajectory keyed on the committed count reproduces the wrapped
- * policy's run exactly, because the committed stream is
- * configuration-independent and every policy here is a deterministic
- * function of it.
- */
-class TrajectoryProbeController : public ReconfigController
+bool
+parseU64(const std::string &s, std::uint64_t &out)
 {
-  public:
-    explicit TrajectoryProbeController(
-        std::unique_ptr<ReconfigController> inner)
-        : inner_(std::move(inner))
-    {
-        CSIM_ASSERT(inner_ != nullptr);
-    }
-
-    void
-    attach(int hw_clusters, int initial) override
-    {
-        ReconfigController::attach(hw_clusters, initial);
-        inner_->attach(hw_clusters, initial);
-        targets_.clear();
-        targets_.push_back(inner_->targetClusters());
-    }
-
-    void
-    onCommit(const CommitEvent &ev) override
-    {
-        inner_->onCommit(ev);
-        targets_.push_back(inner_->targetClusters());
-    }
-
-    int
-    targetClusters() const override
-    {
-        return inner_->targetClusters();
-    }
-
-    std::string name() const override { return "oracle-probe"; }
-
-    const std::vector<int> &targets() const { return targets_; }
-
-  private:
-    std::unique_ptr<ReconfigController> inner_;
-    std::vector<int> targets_;
-};
-
-/** Lazily computed, shared schedule behind one handle's factory. */
-struct ScheduleCache {
-    mutable Mutex mutex;
-    bool computed CSIM_GUARDED_BY(mutex) = false;
-    OracleSchedule schedule CSIM_GUARDED_BY(mutex);
-};
-
-std::string
-numStr(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
+    char *end = nullptr;
+    out = std::strtoull(s.c_str(), &end, 10);
+    return !s.empty() && end && *end == '\0';
 }
+
+/**
+ * Oracle params from registry parameters; on a missing, unknown or
+ * unparsable parameter, nullopt with `error` set.
+ */
+std::optional<OraclePolicyParams>
+readParams(const PolicyParams &params, std::string &error)
+{
+    OraclePolicyParams p;
+    for (const auto &[k, v] : params) {
+        bool ok = true;
+        if (k == "bench") {
+            p.bench = v;
+        } else if (k == "seed") {
+            ok = parseU64(v, p.seed);
+        } else if (k == "horizon") {
+            ok = parseU64(v, p.horizon);
+        } else if (k == "warmup") {
+            ok = parseU64(v, p.warmup);
+        } else if (k == "interval") {
+            ok = parseU64(v, p.interval);
+        } else if (k == "penalty") {
+            char *end = nullptr;
+            p.penaltyCycles = std::strtod(v.c_str(), &end);
+            ok = !v.empty() && end && *end == '\0';
+        } else if (k == "configs") {
+            p.configs.clear();
+            std::size_t pos = 0;
+            while (ok && pos <= v.size()) {
+                std::size_t dot = v.find('.', pos);
+                if (dot == std::string::npos)
+                    dot = v.size();
+                std::uint64_t c = 0;
+                ok = parseU64(v.substr(pos, dot - pos), c) && c >= 1 &&
+                     c <= maxClusters &&
+                     (p.configs.empty() ||
+                      static_cast<int>(c) > p.configs.back());
+                p.configs.push_back(static_cast<int>(c));
+                pos = dot + 1;
+            }
+        } else {
+            error = "unknown parameter '" + k + "'";
+            return std::nullopt;
+        }
+        if (!ok) {
+            error = "unparsable '" + k + "': " + v;
+            return std::nullopt;
+        }
+    }
+    for (const char *req : {"bench", "seed", "horizon"}) {
+        if (!params.count(req)) {
+            error = std::string("required parameter '") + req +
+                    "' missing";
+            return std::nullopt;
+        }
+    }
+    if (p.bench.empty() || p.horizon == 0 || p.interval < 100 ||
+        p.warmup >= p.horizon || p.configs.empty()) {
+        error = "inconsistent parameters";
+        return std::nullopt;
+    }
+    return p;
+}
+
+/** A candidate's measure window, scored as the report scores it. */
+bool
+betterScore(const SimResult &a, const SimResult &b)
+{
+    // Higher IPC, compared exactly by cross-multiplying in 128 bits
+    // (the reported IPC counts the commit overshoot past the window's
+    // end, so fewest cycles alone can pick a lower-IPC candidate); on
+    // equal IPC, fewer cycles.
+    using Wide = unsigned __int128;
+    Wide lhs = static_cast<Wide>(a.instructions) * b.cycles;
+    Wide rhs = static_cast<Wide>(b.instructions) * a.cycles;
+    if (lhs != rhs)
+        return lhs > rhs;
+    return a.cycles < b.cycles;
+}
+
+/** Run every candidate in consideration order and build a controller
+ *  that reproduces the winner's run. */
+std::unique_ptr<ReconfigController>
+bestController(const OraclePolicyParams &p)
+{
+    const std::size_t k = p.configs.size();
+    std::vector<std::vector<TimeSeriesRow>> rows(k);
+    std::vector<SimResult> runs;
+    for (std::size_t i = 0; i < k; i++)
+        runs.push_back(runOracleProbe(p, p.configs[i], rows[i]));
+
+    std::vector<int> dp = solveOracleSchedule(p.configs, rows,
+                                              p.penaltyCycles);
+    OracleController replay(p.interval, dp);
+    runs.push_back(dp.empty() ? SimResult{}
+                              : runOracleCandidate(p, &replay));
+
+    std::vector<ControllerHandle> reactive;
+    for (const Competitor &c : reactiveCompetitors()) {
+        reactive.push_back(makeController(c.policy, c.params));
+        runs.push_back(
+            runOracleCandidate(p, reactive.back().make().get()));
+    }
+
+    std::vector<const SimResult *> cand;
+    for (std::size_t i = 0; i < runs.size(); i++)
+        cand.push_back(i == k && dp.empty() ? nullptr : &runs[i]);
+    std::size_t win = oracleWinner(cand);
+    if (win < k)
+        return std::make_unique<OracleController>(
+            p.interval, std::vector<int>{p.configs[win]});
+    if (win == k)
+        return std::make_unique<OracleController>(p.interval,
+                                                  std::move(dp));
+    return reactive[win - k - 1].make();
+}
+
+} // namespace
 
 std::string
 oracleKey(const OraclePolicyParams &p)
@@ -130,205 +188,91 @@ oracleKey(const OraclePolicyParams &p)
            ";configs=" + cfgs +
            ";horizon=" + std::to_string(p.horizon) +
            ";interval=" + std::to_string(p.interval) +
-           ";penalty=" + numStr(p.penaltyCycles) +
+           ";penalty=" + canonicalNumber(p.penaltyCycles) +
            ";seed=" + std::to_string(p.seed) +
            ";warmup=" + std::to_string(p.warmup) + "}";
 }
 
-std::uint64_t
-requiredU64(const PolicyParams &params, const std::string &key)
+std::optional<OraclePolicyParams>
+parseOracleKey(const std::string &key)
 {
-    auto it = params.find(key);
-    CSIM_ASSERT(it != params.end(),
-                "oracle: required parameter '", key, "' missing");
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(it->second.c_str(), &end, 10);
-    CSIM_ASSERT(end && *end == '\0' && !it->second.empty(),
-                "oracle: unparsable '", key, "': ", it->second);
-    return v;
-}
-
-} // namespace
-
-namespace {
-
-void
-checkOracleParams(const OraclePolicyParams &p)
-{
-    CSIM_ASSERT(!p.bench.empty() && p.horizon > 0 && p.interval >= 100);
-    CSIM_ASSERT(p.warmup < p.horizon);
-    CSIM_ASSERT(!p.configs.empty());
-}
-
-WorkloadSpec
-oracleWorkload(const OraclePolicyParams &p)
-{
-    WorkloadSpec w = makeBenchmark(p.bench);
-    w.seed = p.seed;
-    return w;
-}
-
-/** A candidate's measure window, scored as the report scores it. */
-struct WindowScore {
-    std::uint64_t insts = 0;
-    std::uint64_t cycles = 0;
-};
-
-/**
- * Whether `a` beats `b`: higher IPC, compared exactly by
- * cross-multiplying in 128 bits (the reported IPC counts the commit
- * overshoot past the window's end, so fewest cycles alone can pick a
- * lower-IPC candidate); on equal IPC, fewer cycles.
- */
-bool
-betterScore(const WindowScore &a, const WindowScore &b)
-{
-    using Wide = unsigned __int128;
-    Wide lhs = static_cast<Wide>(a.insts) * b.cycles;
-    Wide rhs = static_cast<Wide>(b.insts) * a.cycles;
-    if (lhs != rhs)
-        return lhs > rhs;
-    return a.cycles < b.cycles;
-}
-
-/**
- * Probe each candidate configuration on the oracle run's machine and
- * stream: the committed stream is configuration-independent here
- * (fetch-gated mispredicts, no wrong-path commits), so the rows of
- * every probe are aligned at the same committed-instruction
- * boundaries. `runs[k]` receives each probe run's measured result.
- */
-std::vector<std::vector<TimeSeriesRow>>
-runFixedProbes(const OraclePolicyParams &p, std::vector<SimResult> *runs)
-{
-    WorkloadSpec w = oracleWorkload(p);
-    std::vector<std::vector<TimeSeriesRow>> rows;
-    for (int c : p.configs) {
-        RecordingProbeController probe(c, p.interval);
-        SimResult r = runSimulation(clusteredConfig(maxClusters), w,
-                                    &probe, p.warmup,
-                                    p.horizon - p.warmup);
-        rows.push_back(probe.rows());
-        if (runs)
-            runs->push_back(std::move(r));
-    }
-    return rows;
-}
-
-/** The reactive lineup the oracle must bound: one entry per tournament
- *  competitor, with the tournament's own parameters. */
-struct ReactiveProbe {
-    const char *policy;
+    std::string policy;
     PolicyParams params;
-};
-
-const std::vector<ReactiveProbe> &
-reactiveProbes()
-{
-    static const std::vector<ReactiveProbe> probes = {
-        {"ivl-explore", {}},
-        {"ivl-ilp", {{"interval", "10000"}}},
-        {"fg-branch", {}},
-        {"fg-subroutine", {}},
-        {"ineffectuality", {}},
-    };
-    return probes;
+    if (!parseControllerKey(key, policy, params) || policy != "oracle")
+        return std::nullopt;
+    std::string error;
+    std::optional<OraclePolicyParams> p = readParams(params, error);
+    if (!p || oracleKey(*p) != key)
+        return std::nullopt;
+    return p;
 }
 
-} // namespace
-
-std::vector<int>
-computeOracleSchedule(const OraclePolicyParams &p)
+const std::vector<Competitor> &
+reactiveCompetitors()
 {
-    checkOracleParams(p);
-    return solveOracleSchedule(p.configs, runFixedProbes(p, nullptr),
-                               p.penaltyCycles);
+    static const std::vector<Competitor> field = {
+        {"ivl-explore", "ivl-explore", {}},
+        {"ivl-ilp-10K", "ivl-ilp", {{"interval", "10000"}}},
+        {"fg-branch", "fg-branch", {}},
+        {"fg-subroutine", "fg-subroutine", {}},
+        {"ineffectuality", "ineffectuality", {}},
+    };
+    return field;
 }
 
-OracleSchedule
-computeBestOracleSchedule(const OraclePolicyParams &p)
+RunPoint
+oracleCandidatePoint(const OraclePolicyParams &p)
 {
-    checkOracleParams(p);
-    WorkloadSpec w = oracleWorkload(p);
-    ProcessorConfig cfg = clusteredConfig(maxClusters);
+    RunPoint pt;
+    pt.cfg = clusteredConfig(maxClusters);
+    pt.workload = makeBenchmark(p.bench);
+    pt.workload.seed = p.seed;
+    pt.warmup = p.warmup;
+    pt.measure = p.horizon - p.warmup;
+    return pt;
+}
 
-    const std::uint64_t measure = p.horizon - p.warmup;
-    std::optional<WindowScore> best_score;
-    OracleSchedule best;
-    auto consider = [&](const SimResult &r, std::uint64_t slot,
-                        std::vector<int> targets) {
-        // Strictly better only, in consideration order: fixed
-        // configurations ascending, then the DP mixture, then the
-        // reactive trajectories. Full ties go to the earliest
-        // (simplest) candidate.
-        WindowScore score{r.instructions, r.cycles};
-        if (!best_score || betterScore(score, *best_score)) {
-            best_score = score;
-            best = {slot, std::move(targets)};
-        }
-    };
+SimResult
+runOracleCandidate(const OraclePolicyParams &p, ReconfigController *ctrl)
+{
+    RunPoint pt = oracleCandidatePoint(p);
+    return runSimulation(pt.cfg, pt.workload, ctrl, pt.warmup,
+                         pt.measure);
+}
 
-    // Fixed-configuration probes: their rows feed the DP, and each run
-    // competes directly as a constant schedule. All probes score on
-    // the measure window (commits past p.warmup), the window the run
-    // point reports.
-    std::vector<SimResult> fixed_runs;
-    std::vector<std::vector<TimeSeriesRow>> rows =
-        runFixedProbes(p, &fixed_runs);
-    for (std::size_t k = 0; k < p.configs.size(); k++)
-        consider(fixed_runs[k], p.interval,
-                 std::vector<int>{p.configs[k]});
+SimResult
+runOracleProbe(const OraclePolicyParams &p, int config,
+               std::vector<TimeSeriesRow> &rows)
+{
+    // The committed stream is configuration-independent here
+    // (fetch-gated mispredicts, no wrong-path commits), so the rows of
+    // every probe are aligned at the same committed-instruction
+    // boundaries.
+    RecordingProbeController probe(config, p.interval);
+    SimResult r = runOracleCandidate(p, &probe);
+    rows = probe.rows();
+    return r;
+}
 
-    // The DP's cost is a prediction stitched from per-probe rows
-    // (cross-interval state differs in a composed run), so the mixture
-    // competes on a measured replay, same as everything else.
-    std::vector<int> dp =
-        solveOracleSchedule(p.configs, rows, p.penaltyCycles);
-    if (!dp.empty()) {
-        OracleController replay(p.interval, dp);
-        SimResult r = runSimulation(cfg, w, &replay, p.warmup, measure);
-        consider(r, p.interval, std::move(dp));
-    }
-
-    // Every reactive policy runs once on the oracle's stream; its
-    // recorded trajectory is a per-commit candidate schedule whose
-    // replay reproduces the run exactly. The winner therefore bounds
-    // the whole reactive field from above by construction.
-    for (const ReactiveProbe &rp : reactiveProbes()) {
-        TrajectoryProbeController probe(
-            makeController(rp.policy, rp.params).make());
-        SimResult r = runSimulation(cfg, w, &probe, p.warmup, measure);
-        consider(r, 1, probe.targets());
-    }
-
-    CSIM_ASSERT(!best.targets.empty());
+std::size_t
+oracleWinner(const std::vector<const SimResult *> &candidates)
+{
+    // Strictly better only, in consideration order: full ties go to
+    // the earliest (simplest) candidate.
+    std::size_t best = candidates.size();
+    for (std::size_t i = 0; i < candidates.size(); i++)
+        if (candidates[i] &&
+            (best == candidates.size() ||
+             betterScore(*candidates[i], *candidates[best])))
+            best = i;
+    CSIM_ASSERT(best < candidates.size(), "oracle: no candidate ran");
     return best;
 }
 
 ControllerHandle
 makeOracleHandle(const OraclePolicyParams &p)
 {
-    CSIM_ASSERT(!p.bench.empty() && p.horizon > 0 && p.interval >= 100);
-    auto cache = std::make_shared<ScheduleCache>();
-    OraclePolicyParams prm = p;
-    return {oracleKey(prm), [cache, prm] {
-                OracleSchedule sched;
-                {
-                    // Probes run under the lock: concurrent workers
-                    // building the same point's controller wait for
-                    // the first one's schedule instead of repeating
-                    // the probe pass.
-                    MutexLock lock(cache->mutex);
-                    if (!cache->computed) {
-                        cache->schedule =
-                            computeBestOracleSchedule(prm);
-                        cache->computed = true;
-                    }
-                    sched = cache->schedule;
-                }
-                return std::make_unique<OracleController>(
-                    sched.slotLength, std::move(sched.targets));
-            }};
+    return {oracleKey(p), [p] { return bestController(p); }};
 }
 
 void
@@ -337,39 +281,11 @@ registerOraclePolicy()
     static const bool registered = [] {
         registerControllerPolicy(
             "oracle", [](const PolicyParams &params) {
-                for (const auto &kv : params)
-                    CSIM_ASSERT(kv.first == "bench" ||
-                                    kv.first == "seed" ||
-                                    kv.first == "horizon" ||
-                                    kv.first == "warmup" ||
-                                    kv.first == "interval" ||
-                                    kv.first == "penalty",
-                                "oracle: unknown parameter '",
-                                kv.first, "'");
-                OraclePolicyParams p;
-                auto bench = params.find("bench");
-                CSIM_ASSERT(bench != params.end(),
-                            "oracle: required parameter 'bench' "
-                            "missing");
-                p.bench = bench->second;
-                p.seed = requiredU64(params, "seed");
-                p.horizon = requiredU64(params, "horizon");
-                if (params.find("warmup") != params.end())
-                    p.warmup = requiredU64(params, "warmup");
-                auto ivl = params.find("interval");
-                if (ivl != params.end())
-                    p.interval = requiredU64(params, "interval");
-                auto pen = params.find("penalty");
-                if (pen != params.end()) {
-                    char *end = nullptr;
-                    p.penaltyCycles =
-                        std::strtod(pen->second.c_str(), &end);
-                    CSIM_ASSERT(end && *end == '\0' &&
-                                    !pen->second.empty(),
-                                "oracle: unparsable 'penalty': ",
-                                pen->second);
-                }
-                return makeOracleHandle(p);
+                std::string error;
+                std::optional<OraclePolicyParams> p =
+                    readParams(params, error);
+                CSIM_ASSERT(p.has_value(), "oracle: ", error);
+                return makeOracleHandle(*p);
             });
         return true;
     }();

@@ -1,53 +1,57 @@
 /**
  * @file
- * Offline-oracle policy: probe driver and registry wiring.
+ * Offline-oracle policy: candidate runs, selection, registry wiring.
  *
  * The DP solver and the schedule-replaying controller live in
  * reconfig/oracle.hh; this layer supplies what they need from the
- * simulation stack. computeOracleSchedule() runs one probe per
- * candidate configuration -- the full horizon on the oracle point's
- * own derived seed, with a pass-through controller pinning the
- * configuration while a TimeSeriesRecorder captures per-interval cycle
- * costs -- and feeds the rows to solveOracleSchedule().
+ * simulation stack. The shipped oracle is *best-of*: a pure selection
+ * over a fixed list of candidate runs, all on the 16-cluster machine,
+ * the oracle's own stream (its exact seed), its warmup and its measure
+ * window. In consideration order:
  *
- * The shipped oracle is *best-of*, not DP-only: alongside the DP
- * schedule and the fixed-configuration probes, every reactive policy
- * runs once on the oracle's stream with its per-commit target
- * trajectory recorded, and the candidate with the highest measured
- * IPC over the run point's measure window wins (compared exactly, the
- * way the report computes it; ties go to fewer cycles). Replaying a
- * reactive trajectory keyed on the committed-instruction count
- * reproduces that run exactly (the committed stream is
- * configuration-independent here), so the oracle is >= every reactive
- * policy by construction while the DP component lets it beat them all
- * wherever an interval-grained mixture wins.
+ *  1. one probe per candidate configuration, pinning it for the whole
+ *     horizon while a TimeSeriesRecorder captures per-interval cycle
+ *     costs (runOracleProbe());
+ *  2. one replay of the schedule solveOracleSchedule() builds from
+ *     those rows (ready once every probe has finished);
+ *  3. one run of every reactive competitor (reactiveCompetitors()).
  *
- * registerOraclePolicy() publishes the policy as "oracle" in the
- * controller registry (reconfig/registry.hh). The probes are deferred
- * into the returned factory and memoized, so building a preset (or
- * listing presets) stays cheap and the expensive probe pass runs at
- * most once per handle, on the first worker that constructs the
- * controller.
+ * The candidate with the highest measure-window IPC wins, compared
+ * exactly the way the report computes it; equal IPCs go to fewer
+ * cycles, then to the earliest candidate (oracleWinner()). The oracle's
+ * result *is* the winner's run, so it bounds every reactive competitor
+ * by construction, and the DP candidate lets it beat them all wherever
+ * an interval-grained mixture wins.
  *
- * The canonical key spells out bench, seed, horizon, interval, and
- * penalty. horizon (warmup + measure of the run point) is deliberately
- * part of the identity: the schedule depends on it, and warmup
- * checkpoint identities exclude the measure length, so two points
- * differing only in measure must not share a warmup under one key.
+ * runSweep() (sim/sweep.hh) recognises an oracle point from its
+ * canonical key alone (parseOracleKey()) and runs the candidates as
+ * pool tasks, sharing each reactive candidate with the grid's own
+ * identical point; the oracle point itself is never simulated. The
+ * registry factory runs the same candidates serially and returns the
+ * winner's controller, for standalone use.
+ *
+ * The canonical key spells out bench, configs, horizon, interval,
+ * penalty, seed and warmup. horizon (warmup + measure of the run point)
+ * is deliberately part of the identity: the winner depends on it, and
+ * warmup checkpoint identities exclude the measure length, so two
+ * points differing only in measure must not share a warmup under one
+ * key.
  */
 
 #ifndef CLUSTERSIM_SIM_ORACLE_POLICY_HH
 #define CLUSTERSIM_SIM_ORACLE_POLICY_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "reconfig/registry.hh"
+#include "sim/sweep.hh"
 
 namespace clustersim {
 
-/** Identity of one oracle schedule (all of it lands in the key). */
+/** Identity of one oracle (all of it lands in the key). */
 struct OraclePolicyParams {
     std::string bench;         ///< benchmark model name
     std::uint64_t seed = 0;    ///< exact workload seed of the run point
@@ -66,42 +70,63 @@ struct OraclePolicyParams {
     std::vector<int> configs = {2, 4, 8, 16};
 };
 
-/**
- * Run the fixed-configuration probes and solve the DP for the
- * interval-grained oracle schedule (one entry per interval of the
- * horizon). Deterministic in the params. Exposed for the DP-level
- * tests; the shipped policy goes through computeBestOracleSchedule().
- */
-std::vector<int> computeOracleSchedule(const OraclePolicyParams &p);
+/** Canonical `oracle{...}` key of the params. */
+std::string oracleKey(const OraclePolicyParams &p);
 
-/** A resolved oracle schedule: per-slot targets keyed on the committed
- *  instruction count (slotLength = 1 for a per-commit trajectory). */
-struct OracleSchedule {
-    std::uint64_t slotLength = 1;
-    std::vector<int> targets;
+/** The params a canonical oracle key spells out; nullopt for any key
+ *  oracleKey() would not have produced. */
+std::optional<OraclePolicyParams> parseOracleKey(const std::string &key);
+
+/** One reactive competitor: report label plus registry policy. */
+struct Competitor {
+    std::string label;
+    std::string policy;
+    PolicyParams params;
 };
 
 /**
- * The best-of oracle: race the DP schedule, every fixed configuration,
- * and every reactive policy's recorded trajectory over the horizon on
- * the oracle point's own stream, and return the schedule with the
- * highest measure-window IPC (exact rational comparison). Deterministic
- * in the params; equal IPCs resolve to fewer cycles, then to the
- * earliest candidate in a fixed order (fixed configs ascending, then
- * the DP mixture, then the reactive trajectories).
+ * The reactive field, in grid order. The tournament preset races these
+ * and the oracle runs each as a candidate; one list keeps the two
+ * identical, which is what lets runSweep() share the runs.
  */
-OracleSchedule computeBestOracleSchedule(const OraclePolicyParams &p);
+const std::vector<Competitor> &reactiveCompetitors();
 
 /**
- * Handle for an oracle controller with the given identity. Probes are
- * deferred into the factory and memoized (thread-safe), so building
- * the handle is cheap.
+ * The run every candidate shares, controller aside: 16-cluster machine,
+ * the benchmark at the oracle's exact seed, its warmup, and measure =
+ * horizon - warmup. No label, no controller.
+ */
+RunPoint oracleCandidatePoint(const OraclePolicyParams &p);
+
+/** Simulate one candidate under `ctrl` (not owned). */
+SimResult runOracleCandidate(const OraclePolicyParams &p,
+                             ReconfigController *ctrl);
+
+/**
+ * Simulate the probe pinned at `config` and store its per-interval rows
+ * over the whole horizon in `rows` (the DP's input).
+ */
+SimResult runOracleProbe(const OraclePolicyParams &p, int config,
+                         std::vector<TimeSeriesRow> &rows);
+
+/**
+ * Index of the winning candidate: the highest IPC (exact rational
+ * comparison), then fewer cycles, then the lowest index. Null entries
+ * (a DP replay that had no schedule to run) never win; at least one
+ * entry must be non-null.
+ */
+std::size_t oracleWinner(const std::vector<const SimResult *> &candidates);
+
+/**
+ * Handle for an oracle with the given identity. Building it is cheap;
+ * each make() runs every candidate serially and returns a fresh
+ * controller that reproduces the winner's run.
  */
 ControllerHandle makeOracleHandle(const OraclePolicyParams &p);
 
 /** Idempotently register "oracle" in the controller registry. Params:
- *  bench, seed, horizon (required); warmup, interval, penalty
- *  (optional). */
+ *  bench, seed, horizon (required); warmup, interval, penalty, configs
+ *  (optional; configs is dot-separated, e.g. "2.4.8.16"). */
 void registerOraclePolicy();
 
 } // namespace clustersim

@@ -221,15 +221,23 @@ pointCacheable(const RunPoint &p)
 }
 
 std::string
-pointIdentityKey(const RunPoint &p, const std::string &label,
-                 std::uint64_t seed)
+runIdentityKey(const RunPoint &p, std::uint64_t seed)
 {
     if (!pointCacheable(p))
         return {};
     std::string k;
     appendWarmupKey(k, p, seed);
     keyU(k, p.measure);
-    keyS(k, label);
+    return k;
+}
+
+std::string
+pointIdentityKey(const RunPoint &p, const std::string &label,
+                 std::uint64_t seed)
+{
+    std::string k = runIdentityKey(p, seed);
+    if (!k.empty())
+        keyS(k, label);
     return k;
 }
 

@@ -83,6 +83,15 @@ void appendWorkloadKey(std::string &k, const WorkloadSpec &w);
 bool pointCacheable(const RunPoint &p);
 
 /**
+ * Identity byte string of a point's simulated run, label aside: config
+ * + workload (with the derived seed) + warmup + measure + controller
+ * identity. Two points with equal keys simulate the same run, so one
+ * result serves both (runSweep() shares oracle candidates with grid
+ * points this way). Empty when !pointCacheable(p).
+ */
+std::string runIdentityKey(const RunPoint &p, std::uint64_t seed);
+
+/**
  * Full identity byte string of one planned point: config + workload
  * (with the derived seed) + warmup + measure + label + controller
  * identity. Two points with equal keys produce byte-identical report

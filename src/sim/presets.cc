@@ -317,36 +317,27 @@ makeSweepPreset(const std::string &name, std::uint64_t warmup,
         // per benchmark. Every point of one benchmark carries the same
         // seedTag, so the planner gives all six policies the *same*
         // instruction stream: the ranked table compares them
-        // head-to-head, and the oracle -- whose probe runs are seeded
-        // with the very same tag-derived seed -- bounds the reactive
-        // field on the stream it is scored on. The probes themselves
-        // are deferred into the handle's factory (building the grid,
-        // e.g. for `sweep --list`, must stay cheap).
+        // head-to-head, and the oracle -- whose candidates run on the
+        // very same tag-derived seed -- bounds the reactive field on
+        // the stream it is scored on. runSweep() shares the oracle's
+        // reactive candidates with these points; building the grid
+        // (e.g. for `sweep --list`) simulates nothing.
         registerOraclePolicy();
         std::uint64_t meas = run(1000000);
         std::vector<RunPoint> points;
         for (const WorkloadSpec &w : allBenchmarks()) {
-            std::vector<SweepVariant> variants = {
-                policyVariant("ivl-explore", clusteredConfig(16),
-                              "ivl-explore"),
-                policyVariant("ivl-ilp-10K", clusteredConfig(16),
-                              "ivl-ilp", {{"interval", "10000"}}),
-                policyVariant("fg-branch", clusteredConfig(16),
-                              "fg-branch"),
-                policyVariant("fg-subroutine", clusteredConfig(16),
-                              "fg-subroutine"),
-                policyVariant("ineffectuality", clusteredConfig(16),
-                              "ineffectuality"),
-                policyVariant(
-                    "oracle", clusteredConfig(16), "oracle",
-                    {{"bench", w.name},
-                     {"seed",
-                      std::to_string(sweepSeed(w.seed, w.name,
-                                               "tournament"))},
-                     {"horizon", std::to_string(warm + meas)},
-                     {"warmup", std::to_string(warm)},
-                     {"interval", "1000"}}),
-            };
+            std::vector<SweepVariant> variants;
+            for (const Competitor &c : reactiveCompetitors())
+                variants.push_back(policyVariant(
+                    c.label, clusteredConfig(16), c.policy, c.params));
+            variants.push_back(policyVariant(
+                "oracle", clusteredConfig(16), "oracle",
+                {{"bench", w.name},
+                 {"seed", std::to_string(
+                              sweepSeed(w.seed, w.name, "tournament"))},
+                 {"horizon", std::to_string(warm + meas)},
+                 {"warmup", std::to_string(warm)},
+                 {"interval", "1000"}}));
             std::size_t first = points.size();
             appendCross(points, w, variants, warm, meas);
             for (std::size_t i = first; i < points.size(); i++)

@@ -6,9 +6,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <thread>
 
 #include "check/invariant.hh"
@@ -17,7 +20,9 @@
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "sim/checkpoint.hh"
+#include "reconfig/oracle.hh"
 #include "sim/energy.hh"
+#include "sim/oracle_policy.hh"
 #include "sim/plan.hh"
 #include "trace/timeseries.hh"
 #include "workload/replay.hh"
@@ -76,6 +81,36 @@ warmUp(Processor &proc, WarmupCheckpointStore *store,
 }
 
 /**
+ * The sweep's result slots and their completion: fills one run's slot
+ * and fires SweepOptions::onComplete under the completion lock.
+ */
+struct Completion {
+    // simlint-ignore(C001): immutable for the sweep's duration
+    const SweepPlan &plan;
+    // simlint-ignore(C001): immutable for the sweep's duration
+    const SweepOptions &opts;
+    // simlint-ignore(C001): each task writes only its own runs' slots
+    SweepResult &out;
+    /** Serializes onComplete. */
+    Mutex mutex;
+
+    void
+    finish(std::size_t idx, SimResult r, double seconds, bool warm)
+    {
+        r.config = plan.points[idx].label;
+        SweepRun &slot = out.runs[idx];
+        slot.result = std::move(r);
+        slot.seed = plan.points[idx].seed;
+        slot.wallSeconds = seconds;
+        slot.warmStart = warm;
+        if (opts.onComplete) {
+            MutexLock lock(mutex);
+            opts.onComplete(idx, slot.result);
+        }
+    }
+};
+
+/**
  * Run one warmup group and fill its members' result slots.
  *
  * A lone member without a checkpoint key streams from the synthetic
@@ -91,23 +126,13 @@ warmUp(Processor &proc, WarmupCheckpointStore *store,
  * warmup or restore; later members carry their restore and measure.
  */
 void
-runGroup(const std::vector<RunPoint> &points, const SweepPlan &plan,
-         const SweepPlan::Group &group, const SweepOptions &opts,
-         SweepResult &out, Mutex &complete_mutex)
+runGroup(const std::vector<RunPoint> &points, const SweepPlan::Group &group,
+         Completion &done)
 {
     // simlint-ignore(D002): timing-only bookkeeping, never a sim input
     Clock::time_point start = Clock::now();
     auto finish = [&](std::size_t idx, SimResult r, bool warm) {
-        r.config = plan.points[idx].label;
-        SweepRun &slot = out.runs[idx];
-        slot.result = std::move(r);
-        slot.seed = plan.points[idx].seed;
-        slot.wallSeconds = secondsSince(start);
-        slot.warmStart = warm;
-        if (opts.onComplete) {
-            MutexLock lock(complete_mutex);
-            opts.onComplete(idx, slot.result);
-        }
+        done.finish(idx, std::move(r), secondsSince(start), warm);
         // simlint-ignore(D002): timing-only bookkeeping
         start = Clock::now();
     };
@@ -115,14 +140,15 @@ runGroup(const std::vector<RunPoint> &points, const SweepPlan &plan,
     const std::size_t lead = group.members[0];
     const RunPoint &p = points[lead];
     WorkloadSpec w = p.workload;
-    w.seed = plan.points[lead].seed;
+    w.seed = done.plan.points[lead].seed;
     std::unique_ptr<ReconfigController> ctrl;
     if (p.makeController)
         ctrl = p.makeController();
 
     WarmupCheckpointStore *store =
-        opts.checkpoints && opts.checkpoints->enabled() ? opts.checkpoints
-                                                        : nullptr;
+        done.opts.checkpoints && done.opts.checkpoints->enabled()
+            ? done.opts.checkpoints
+            : nullptr;
     std::string key = store ? store->keyFor(p, w.seed) : std::string();
 
     if (group.members.size() == 1 && key.empty()) {
@@ -165,6 +191,292 @@ runGroup(const std::vector<RunPoint> &points, const SweepPlan &plan,
         SimResult r = measureWindow(proc, points[idx].measure);
         r.benchmark = w.name;
         finish(idx, std::move(r), restored);
+    }
+}
+
+/**
+ * A dependency-aware task list for the worker pool. Every worker takes
+ * the ready task (all dependencies finished) of the lowest rank, then
+ * of the lowest index. Without dependencies it is the plain
+ * first-come pool.
+ */
+class TaskGraph
+{
+  public:
+    std::size_t
+    add(std::size_t rank, std::function<void()> run)
+    {
+        nodes_.push_back({rank, std::move(run), {}, 0});
+        return nodes_.size() - 1;
+    }
+
+    /** Task `task` may start only once task `dep` has finished. */
+    void
+    after(std::size_t task, std::size_t dep)
+    {
+        nodes_[dep].dependents.push_back(task);
+        nodes_[task].deps++;
+    }
+
+    std::size_t size() const { return nodes_.size(); }
+
+    /** Run every task on `threads` workers (1 = the calling thread);
+     *  the graph must be acyclic. */
+    void run(int threads);
+
+  private:
+    struct Node {
+        std::size_t rank;
+        std::function<void()> run;
+        std::vector<std::size_t> dependents;
+        std::size_t deps;
+    };
+    std::vector<Node> nodes_;
+};
+
+/** Scheduling state of one TaskGraph::run(). */
+struct TaskPool {
+    Mutex mutex;
+    ConditionVariable cv;
+    /** Ready tasks as (rank, index), best first. */
+    std::set<std::pair<std::size_t, std::size_t>> ready
+        CSIM_GUARDED_BY(mutex);
+    /** Unfinished dependencies per task. */
+    std::vector<std::size_t> waiting CSIM_GUARDED_BY(mutex);
+    std::size_t unfinished CSIM_GUARDED_BY(mutex) = 0;
+};
+
+void
+TaskGraph::run(int threads)
+{
+    TaskPool pool;
+    {
+        MutexLock lock(pool.mutex);
+        pool.unfinished = nodes_.size();
+        for (std::size_t i = 0; i < nodes_.size(); i++) {
+            pool.waiting.push_back(nodes_[i].deps);
+            if (nodes_[i].deps == 0)
+                pool.ready.emplace(nodes_[i].rank, i);
+        }
+    }
+
+    auto worker = [&]() {
+        for (;;) {
+            std::size_t t = 0;
+            {
+                UniqueLock lock(pool.mutex);
+                pool.cv.wait(lock, [&]() CSIM_REQUIRES(pool.mutex) {
+                    return !pool.ready.empty() || pool.unfinished == 0;
+                });
+                if (pool.ready.empty())
+                    return;
+                t = pool.ready.begin()->second;
+                pool.ready.erase(pool.ready.begin());
+            }
+            nodes_[t].run();
+            {
+                MutexLock lock(pool.mutex);
+                pool.unfinished--;
+                for (std::size_t d : nodes_[t].dependents)
+                    if (--pool.waiting[d] == 0)
+                        pool.ready.emplace(nodes_[d].rank, d);
+            }
+            pool.cv.notify_all();
+        }
+    };
+
+    if (threads == 1) {
+        worker();
+        return;
+    }
+    std::vector<std::thread> workers;
+    workers.reserve(static_cast<std::size_t>(threads));
+    for (int t = 0; t < threads; t++)
+        workers.emplace_back(worker);
+    for (std::thread &t : workers)
+        t.join();
+}
+
+/**
+ * The oracle params of a plan group whose points are oracle points
+ * (sim/oracle_policy.hh), resolved from the controller key alone: the
+ * key must parse, and every member must be exactly the oracle's own
+ * candidate run (machine, stream, warmup, measure). Anything else runs
+ * as an ordinary group through its factory.
+ */
+std::optional<OraclePolicyParams>
+oracleGroup(const std::vector<RunPoint> &points, const SweepPlan &plan,
+            const SweepPlan::Group &group)
+{
+    const RunPoint &lead = points[group.members[0]];
+    if (!lead.makeController)
+        return std::nullopt;
+    std::optional<OraclePolicyParams> prm =
+        parseOracleKey(lead.controllerKey);
+    if (!prm)
+        return std::nullopt;
+    const std::string want =
+        runIdentityKey(oracleCandidatePoint(*prm), prm->seed);
+    for (std::size_t idx : group.members) {
+        RunPoint bare = points[idx];
+        bare.makeController = nullptr;
+        bare.controllerKey.clear();
+        if (runIdentityKey(bare, plan.points[idx].seed) != want)
+            return std::nullopt;
+    }
+    return prm;
+}
+
+/**
+ * One oracle group's candidates (fixed probes, DP replay, reactive
+ * competitors, in consideration order) and the slots they land in.
+ */
+struct OracleJob {
+    OraclePolicyParams params;
+    std::vector<std::size_t> members;
+    /** Per fixed probe, its per-interval rows. */
+    std::vector<std::vector<TimeSeriesRow>> rows;
+    /** Fixed probes, then the DP replay, then reactive competitors the
+     *  grid does not run itself. */
+    std::vector<SimResult> runs;
+    bool replayed = false; ///< the DP had a schedule to replay
+    /** Candidate results in consideration order; reactive entries may
+     *  point into grid slots or another job's runs. */
+    std::vector<const SimResult *> candidates;
+    /** Host time of each task this job owns. */
+    std::vector<double> seconds;
+};
+
+/** A run the sweep executes once: the task that fills it, and where
+ *  its result lands. */
+struct RunSource {
+    std::size_t task = 0;
+    const SimResult *result = nullptr;
+};
+
+/**
+ * Build the sweep's task graph: one task per plan group, ranked by plan
+ * order, except that an oracle group becomes its hidden candidate tasks
+ * plus a selection task, ranked where the group would be. Each reactive
+ * candidate runs once: a grid point with the same run identity (or an
+ * earlier job's candidate) serves it. The selection copies the
+ * winner's result into every oracle member and charges the job's
+ * hidden work to its lead.
+ */
+void
+buildTasks(const std::vector<RunPoint> &points, Completion &done,
+           std::atomic<std::size_t> &sims,
+           std::vector<std::unique_ptr<OracleJob>> &jobs, TaskGraph &graph)
+{
+    const SweepPlan &plan = done.plan;
+    std::vector<std::optional<OraclePolicyParams>> oracle;
+    std::map<std::string, RunSource> shared;
+    for (std::size_t g = 0; g < plan.groups.size(); g++) {
+        const SweepPlan::Group &group = plan.groups[g];
+        oracle.push_back(oracleGroup(points, plan, group));
+        if (oracle.back())
+            continue;
+        std::size_t task = graph.add(g, [&points, &group, &done, &sims] {
+            runGroup(points, group, done);
+            sims += group.members.size();
+        });
+        for (std::size_t idx : group.members) {
+            std::string k = runIdentityKey(points[idx],
+                                           plan.points[idx].seed);
+            if (!k.empty())
+                shared.try_emplace(k, RunSource{task,
+                                                &done.out.runs[idx].result});
+        }
+    }
+
+    for (std::size_t g = 0; g < plan.groups.size(); g++) {
+        if (!oracle[g])
+            continue;
+        jobs.push_back(std::make_unique<OracleJob>());
+        OracleJob &job = *jobs.back();
+        job.params = *oracle[g];
+        job.members = plan.groups[g].members;
+        const OraclePolicyParams &prm = job.params;
+        const std::vector<Competitor> &field = reactiveCompetitors();
+        const std::size_t k = prm.configs.size();
+        job.rows.resize(k);
+        job.runs.resize(k + 1 + field.size());
+        for (std::size_t i = 0; i <= k; i++)
+            job.candidates.push_back(&job.runs[i]);
+
+        // Each owned task times itself into its own slot; the
+        // selection, which runs after all of them, sums the slots.
+        auto owned = [&job, &graph, g](std::function<void()> body) {
+            std::size_t slot = job.seconds.size();
+            job.seconds.push_back(0.0);
+            return graph.add(g, [&job, slot, body = std::move(body)] {
+                // simlint-ignore(D002): timing-only bookkeeping
+                Clock::time_point t0 = Clock::now();
+                body();
+                job.seconds[slot] = secondsSince(t0);
+            });
+        };
+
+        std::vector<std::size_t> deps;
+        for (std::size_t i = 0; i < k; i++)
+            deps.push_back(owned([&job, &sims, i] {
+                job.runs[i] = runOracleProbe(job.params,
+                                             job.params.configs[i],
+                                             job.rows[i]);
+                sims++;
+            }));
+        std::size_t replay = owned([&job, &sims] {
+            const OraclePolicyParams &p = job.params;
+            std::vector<int> dp =
+                solveOracleSchedule(p.configs, job.rows, p.penaltyCycles);
+            if (dp.empty())
+                return;
+            OracleController ctrl(p.interval, std::move(dp));
+            job.runs[p.configs.size()] = runOracleCandidate(p, &ctrl);
+            job.replayed = true;
+            sims++;
+        });
+        for (std::size_t probe : deps)
+            graph.after(replay, probe);
+        deps.push_back(replay);
+        for (std::size_t j = 0; j < field.size(); j++) {
+            ControllerHandle h =
+                makeController(field[j].policy, field[j].params);
+            RunPoint rp = oracleCandidatePoint(prm);
+            rp.makeController = h.make;
+            rp.controllerKey = h.key;
+            auto [it, fresh] = shared.try_emplace(
+                runIdentityKey(rp, prm.seed), RunSource{});
+            if (fresh) {
+                SimResult *slot = &job.runs[k + 1 + j];
+                it->second.result = slot;
+                it->second.task = owned([&job, &sims, slot, h] {
+                    *slot = runOracleCandidate(job.params,
+                                               h.make().get());
+                    sims++;
+                });
+            }
+            job.candidates.push_back(it->second.result);
+            deps.push_back(it->second.task);
+        }
+
+        std::size_t select = graph.add(g, [&job, &done] {
+            // simlint-ignore(D002): timing-only bookkeeping
+            Clock::time_point t0 = Clock::now();
+            if (!job.replayed)
+                job.candidates[job.params.configs.size()] = nullptr;
+            const SimResult &win =
+                *job.candidates[oracleWinner(job.candidates)];
+            double hidden = 0.0;
+            for (double s : job.seconds)
+                hidden += s;
+            for (std::size_t mi = 0; mi < job.members.size(); mi++)
+                done.finish(job.members[mi], win,
+                            (mi == 0 ? hidden : 0.0) + secondsSince(t0),
+                            false);
+        });
+        for (std::size_t d : deps)
+            graph.after(select, d);
     }
 }
 
@@ -221,6 +533,11 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
     // The canonical plan (sim/plan.hh), shared with the serve-layer
     // cache, decides every point's identity and every warmup group.
     SweepPlan plan = planSweep(points, opts.deriveSeeds);
+    Completion done{plan, opts, out, {}};
+    std::atomic<std::size_t> sims{0};
+    std::vector<std::unique_ptr<OracleJob>> jobs;
+    TaskGraph graph;
+    buildTasks(points, done, sims, jobs, graph);
 
     int threads = opts.threads;
     if (threads <= 0) {
@@ -228,37 +545,14 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
         if (threads <= 0)
             threads = 1;
     }
-    threads = std::min<int>(threads,
-                            std::max<std::size_t>(plan.groups.size(), 1));
+    threads = std::min<int>(threads, std::max<std::size_t>(graph.size(), 1));
     out.threads = threads;
 
     // simlint-ignore(D002): timing-only bookkeeping, never a sim input
     Clock::time_point sweep_start = Clock::now();
-    std::atomic<std::size_t> next{0};
-    Mutex complete_mutex;
-
-    auto worker = [&]() {
-        for (;;) {
-            std::size_t g = next.fetch_add(1);
-            if (g >= plan.groups.size())
-                return;
-            runGroup(points, plan, plan.groups[g], opts, out,
-                     complete_mutex);
-        }
-    };
-
-    if (threads == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(threads));
-        for (int t = 0; t < threads; t++)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
-
+    graph.run(threads);
     out.wallSeconds = secondsSince(sweep_start);
+    out.simulations = sims;
     return out;
 }
 

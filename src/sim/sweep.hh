@@ -111,6 +111,12 @@ struct SweepResult {
     std::vector<SweepRun> runs;
     int threads = 1;             ///< workers actually used
     double wallSeconds = 0.0;    ///< whole sweep, wall clock
+    /**
+     * Runs simulated: one per measured point, plus every oracle
+     * candidate no grid point already ran. An oracle point selects its
+     * result and adds none itself.
+     */
+    std::size_t simulations = 0;
     /** Sum of per-run wall times (the serial-equivalent cost). */
     double cpuSeconds() const;
     /** cpuSeconds()/wallSeconds: observed parallel speedup. */
@@ -135,6 +141,15 @@ std::uint64_t sweepSeed(std::uint64_t base, const std::string &benchmark,
  * SweepOptions::checkpoints), and measures every member from that
  * post-warmup state, restoring a snapshot between members. The group's
  * shape picks the path; the report bytes are the same either way.
+ *
+ * A group of offline-oracle points (recognised from the controller key
+ * alone, sim/oracle_policy.hh) is not simulated: it becomes its hidden
+ * candidate tasks -- fixed-configuration probes, the DP replay once the
+ * probes are done, and each reactive competitor no grid point already
+ * runs -- followed by a selection that copies the winner's result. The
+ * oracle point's wallSeconds carries its hidden tasks' time. Workers
+ * take the lowest-index task whose dependencies have finished; hidden
+ * tasks sit where their oracle group would, so plan order is kept.
  */
 SweepResult runSweep(const std::vector<RunPoint> &points,
                      const SweepOptions &opts = {});

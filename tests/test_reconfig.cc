@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "reconfig/distant_ilp.hh"
 #include "reconfig/finegrain.hh"
@@ -1194,6 +1195,42 @@ TEST(Registry, CanonicalKeysSpellOutEffectiveDefaults)
     EXPECT_EQ(
         makeController("ineffectuality").key,
         "ineffectuality{gate=0.3;interval=10000;ungate=0.15;waste=80}");
+}
+
+TEST(Registry, CanonicalNumbersAreExactAndShortest)
+{
+    // Shipped keys keep their spelling...
+    EXPECT_EQ(canonicalNumber(0.3), "0.3");
+    EXPECT_EQ(canonicalNumber(0.15), "0.15");
+    EXPECT_EQ(canonicalNumber(80.0), "80");
+    EXPECT_EQ(canonicalNumber(200.0), "200");
+    EXPECT_EQ(canonicalNumber(300.0), "300");
+    // ...and nearby values no longer collapse onto one key (six
+    // significant digits would print both as 80).
+    EXPECT_EQ(canonicalNumber(80.0000001), "80.0000001");
+    EXPECT_NE(makeController("ineffectuality", {{"waste", "80"}}).key,
+              makeController("ineffectuality",
+                             {{"waste", "80.0000001"}})
+                  .key);
+    for (double v : {0.1 + 0.2, 1e-7, 123456789.125, 2.5e300})
+        EXPECT_EQ(std::stod(canonicalNumber(v)), v) << v;
+}
+
+TEST(Registry, KeysSplitBackIntoPolicyAndParams)
+{
+    std::string policy;
+    PolicyParams params;
+    ASSERT_TRUE(parseControllerKey(
+        "ineffectuality{gate=0.3;interval=10000;ungate=0.15;waste=80}",
+        policy, params));
+    EXPECT_EQ(policy, "ineffectuality");
+    EXPECT_EQ(params.size(), 4u);
+    EXPECT_EQ(params["waste"], "80");
+    EXPECT_EQ(makeController(policy, params).key,
+              makeController("ineffectuality").key);
+    EXPECT_FALSE(parseControllerKey("no-braces", policy, params));
+    EXPECT_FALSE(parseControllerKey("{a=1}", policy, params));
+    EXPECT_FALSE(parseControllerKey("p{a}", policy, params));
 }
 
 TEST(Registry, ParameterOverridesLandInKeyAndController)

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -548,11 +549,11 @@ TEST(Tournament, OracleScoresByExactIpcNotFewestCycles)
 
 TEST(Tournament, OracleBoundsEveryReactivePolicyPerBenchmark)
 {
-    // The oracle is best-of by construction: its candidate set contains
-    // every reactive competitor's recorded per-commit trajectory, whose
-    // replay reproduces that run bit-exactly on the shared stream. Its
-    // measured IPC therefore matches or beats every reactive policy on
-    // *each* benchmark, not just in aggregate.
+    // The oracle is best-of by construction: every reactive competitor
+    // is one of its candidates, run on the same shared stream, and the
+    // oracle's result is the winning candidate's run. Its IPC therefore
+    // matches or beats every reactive policy on *each* benchmark, not
+    // just in aggregate.
     std::vector<RunPoint> points =
         makeSweepPreset("tournament", 1000, 2000);
     SweepOptions opts;
@@ -571,5 +572,151 @@ TEST(Tournament, OracleBoundsEveryReactivePolicyPerBenchmark)
         ASSERT_TRUE(oracle.count(bench)) << bench;
         EXPECT_GE(oracle[bench] + 1e-9, res.runs[i].result.ipc)
             << bench << " / " << points[i].label;
+    }
+}
+
+TEST(Tournament, GridSimulatesNinetyRunsAndALoneOracleTen)
+{
+    // 45 reactive points, and per benchmark 4 fixed-configuration
+    // probes plus 1 DP replay. The oracle's reactive candidates are the
+    // grid's own reactive points, so they are not simulated again.
+    std::vector<RunPoint> points =
+        makeSweepPreset("tournament", 1000, 2000);
+    ASSERT_EQ(points.size(), 54u);
+    for (int threads : {1, 4}) {
+        SweepOptions opts;
+        opts.threads = threads;
+        EXPECT_EQ(runSweep(points, opts).simulations, 90u) << threads;
+    }
+
+    // On its own, the oracle runs all of its 10 candidates.
+    std::vector<RunPoint> lone;
+    for (const RunPoint &p : points)
+        if (p.label == "oracle" && lone.empty())
+            lone.push_back(p);
+    SweepOptions opts;
+    opts.threads = 1;
+    SweepResult res = runSweep(lone, opts);
+    EXPECT_EQ(res.simulations, 10u);
+    EXPECT_EQ(sweepReportJson("tournament", lone, res, false),
+              perPointReport("tournament", lone, true));
+
+    // A grid without oracle points simulates exactly its points.
+    std::vector<RunPoint> smoke = makeSweepPreset("smoke", 1000, 2000);
+    EXPECT_EQ(runSweep(smoke, opts).simulations, smoke.size());
+}
+
+TEST(Tournament, ReplicaGridMatchesPerPointReference)
+{
+    // A seed replica built the way the repository benchmark builds one:
+    // every workload seed replaced, the oracle handles rebuilt through
+    // makeController with the replica's seed, and every factory
+    // wrapped. runSweep() must still resolve each oracle point from its
+    // key and reproduce the per-point reference byte for byte.
+    registerOraclePolicy();
+    std::vector<RunPoint> points =
+        makeSweepPreset("tournament", 1000, 2000);
+    for (RunPoint &p : points) {
+        WorkloadSpec &w = p.workload;
+        w.seed = sweepSeed(1006, w.name, "replica-3");
+        if (p.label == "oracle") {
+            ControllerHandle h = makeController(
+                "oracle",
+                {{"bench", w.name},
+                 {"seed",
+                  std::to_string(sweepSeed(w.seed, w.name, p.seedTag))},
+                 {"horizon", std::to_string(p.warmup + p.measure)},
+                 {"warmup", std::to_string(p.warmup)},
+                 {"interval", "1000"}});
+            p.makeController = std::move(h.make);
+            p.controllerKey = std::move(h.key);
+        }
+        auto inner = std::move(p.makeController);
+        p.makeController = [inner] { return inner(); };
+    }
+    std::string reference = perPointReport("tournament", points, true);
+    for (int threads : {1, 4}) {
+        SweepOptions opts;
+        opts.threads = threads;
+        SweepResult res = runSweep(points, opts);
+        EXPECT_EQ(res.simulations, 90u) << threads;
+        EXPECT_EQ(sweepReportJson("tournament", points, res, false),
+                  reference)
+            << threads << " thread(s)";
+    }
+}
+
+TEST(Tournament, OracleWallSecondsCarryItsHiddenCandidates)
+{
+    // The oracle point is never simulated itself; its hidden probes and
+    // DP replay are charged to it. On one worker, the per-run times
+    // must therefore add up to (nearly) the whole sweep, as they do for
+    // ordinary points; were the hidden runs dropped, about half of this
+    // one-benchmark grid's work would go missing from cpuSeconds().
+    std::vector<RunPoint> points;
+    for (const RunPoint &p : makeSweepPreset("tournament", 2000, 8000))
+        if (p.workload.name == "gzip")
+            points.push_back(p);
+    ASSERT_EQ(points.size(), 6u);
+    SweepOptions opts;
+    opts.threads = 1;
+    SweepResult res = runSweep(points, opts);
+    EXPECT_EQ(res.simulations, 10u);
+    EXPECT_GE(res.cpuSeconds(), 0.8 * res.wallSeconds)
+        << res.cpuSeconds() << " of " << res.wallSeconds;
+    double reactive = 0.0;
+    for (std::size_t i = 0; i + 1 < points.size(); i++)
+        reactive += res.runs[i].wallSeconds;
+    EXPECT_EQ(points.back().label, "oracle");
+    EXPECT_GT(res.runs.back().wallSeconds, 0.5 * reactive);
+}
+
+TEST(Presets, ControllerKeysAreFixedPointsOfTheirParams)
+{
+    // key -> params -> key: every policy the tournament and the paper
+    // figures race can be rebuilt from its canonical key alone (the
+    // sweep resolves oracle points this way).
+    for (const char *preset :
+         {"tournament", "fig5", "fig6", "fig7", "fig8"}) {
+        for (const RunPoint &p : makeSweepPreset(preset, 1000, 2000)) {
+            if (p.controllerKey.empty())
+                continue;
+            std::string policy;
+            PolicyParams params;
+            ASSERT_TRUE(parseControllerKey(p.controllerKey, policy, params))
+                << p.controllerKey;
+            EXPECT_EQ(makeController(policy, params).key, p.controllerKey)
+                << preset << " / " << p.label;
+            if (policy == "oracle") {
+                std::optional<OraclePolicyParams> prm =
+                    parseOracleKey(p.controllerKey);
+                ASSERT_TRUE(prm.has_value()) << p.controllerKey;
+                EXPECT_EQ(oracleKey(*prm), p.controllerKey);
+            } else {
+                EXPECT_FALSE(parseOracleKey(p.controllerKey).has_value());
+            }
+        }
+    }
+    EXPECT_FALSE(parseOracleKey("oracle{bench=gzip}").has_value());
+    EXPECT_FALSE(parseOracleKey("not a key").has_value());
+}
+
+TEST(Presets, TournamentRacesTheOraclesReactiveLineup)
+{
+    // One list backs both the preset's reactive points and the oracle's
+    // reactive candidates; drift would silently stop their sharing.
+    std::vector<RunPoint> points =
+        makeSweepPreset("tournament", 1000, 2000);
+    const std::vector<Competitor> &field = reactiveCompetitors();
+    ASSERT_EQ(points.size() % (field.size() + 1), 0u);
+    for (std::size_t i = 0; i < points.size(); i++) {
+        std::size_t j = i % (field.size() + 1);
+        if (j == field.size()) {
+            EXPECT_EQ(points[i].label, "oracle");
+            continue;
+        }
+        EXPECT_EQ(points[i].label, field[j].label);
+        EXPECT_EQ(points[i].controllerKey,
+                  makeController(field[j].policy, field[j].params).key);
     }
 }
