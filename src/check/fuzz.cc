@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "reconfig/registry.hh"
 #include "sim/presets.hh"
 #include "sim/simulation.hh"
 #include "workload/benchmarks.hh"
@@ -75,12 +76,13 @@ randomCase(Rng &rng)
     c.numClusters = rangeIn(rng, 2, maxClusters);
     c.grid = rng.chance(0.35);
     c.decentralized = rng.chance(0.35);
-    switch (rng.range(5)) {
+    switch (rng.range(6)) {
       case 0: c.controller = FuzzController::None; break;
       case 1: c.controller = FuzzController::Explore; break;
       case 2: c.controller = FuzzController::IntervalIlp; break;
       case 3: c.controller = FuzzController::Finegrain; break;
-      default: c.controller = FuzzController::Subroutine; break;
+      case 4: c.controller = FuzzController::Subroutine; break;
+      default: c.controller = FuzzController::Ineffectuality; break;
     }
     // Never below the viable minimum: a partition whose register
     // files cannot hold the architectural state deadlocks at rename
@@ -170,6 +172,8 @@ fuzzController(const FuzzCase &c)
         return makeFinegrainController();
       case FuzzController::Subroutine:
         return makeSubroutineController();
+      case FuzzController::Ineffectuality:
+        return makeController("ineffectuality").make();
     }
     return nullptr;
 }

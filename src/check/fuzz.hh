@@ -39,6 +39,7 @@ enum class FuzzController : std::uint8_t {
     IntervalIlp,///< fixed-interval distant-ILP controller
     Finegrain,  ///< branch-boundary controller
     Subroutine, ///< call/return variant
+    Ineffectuality, ///< wasted-fetch cluster gating
 };
 
 /** Knob vector from which one randomized simulation is derived. */

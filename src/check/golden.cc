@@ -5,7 +5,6 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "reconfig/registry.hh"
 #include "sim/presets.hh"
 #include "workload/benchmarks.hh"
 
@@ -17,28 +16,7 @@ namespace {
 constexpr std::uint64_t goldenWarmup = 10000;
 constexpr std::uint64_t goldenMeasure = 40000;
 
-struct GoldenVariant {
-    std::string label;
-    ProcessorConfig cfg;
-    std::function<std::unique_ptr<ReconfigController>()> makeController;
-    /** Stable controller identity (same vocabulary as the sweep
-     *  presets) so golden points are cacheable and warm-startable;
-     *  names the factory, never affects the simulation itself. */
-    std::string controllerKey;
-};
-
-/** A GoldenVariant backed by a registry policy handle: the canonical
- *  handle key becomes the controllerKey, so golden points share the
- *  cache/warm-start identity vocabulary with the sweep presets. */
-GoldenVariant
-policyVariant(const std::string &label, ProcessorConfig cfg,
-              const std::string &policy, const PolicyParams &params = {})
-{
-    ControllerHandle h = makeController(policy, params);
-    return {label, std::move(cfg), std::move(h.make), std::move(h.key)};
-}
-
-std::vector<GoldenVariant>
+std::vector<SweepVariant>
 goldenVariants()
 {
     return {
@@ -68,20 +46,9 @@ goldenRunPoints()
     const char *benchmarks[] = {"gzip", "swim", "parser"};
 
     std::vector<RunPoint> points;
-    for (const char *b : benchmarks) {
-        WorkloadSpec w = makeBenchmark(b);
-        for (const GoldenVariant &v : goldenVariants()) {
-            RunPoint p;
-            p.label = v.label;
-            p.cfg = v.cfg;
-            p.workload = w;
-            p.makeController = v.makeController;
-            p.controllerKey = v.controllerKey;
-            p.warmup = goldenWarmup;
-            p.measure = goldenMeasure;
-            points.push_back(std::move(p));
-        }
-    }
+    for (const char *b : benchmarks)
+        appendCross(points, makeBenchmark(b), goldenVariants(),
+                    goldenWarmup, goldenMeasure);
     return points;
 }
 

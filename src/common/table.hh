@@ -1,7 +1,8 @@
 /**
  * @file
- * ASCII table formatting used by the benchmark harnesses to print
- * paper-style tables and figure series.
+ * ASCII table formatting used by the sweep table renderer
+ * (sim/sweep_table.hh) and the Table 4 harness to print paper-style
+ * tables.
  */
 
 #ifndef CLUSTERSIM_COMMON_TABLE_HH

@@ -387,7 +387,6 @@ PointScheduler::executeTask(Task task)
     // task's points.
     SweepOptions opts;
     opts.threads = 1;
-    opts.deriveSeeds = true;
     opts.checkpoints = cfg_.checkpoints;
     SweepResult res;
     bool run_failed = false;

@@ -1,7 +1,5 @@
 #include "sim/presets.hh"
 
-#include <iterator>
-
 #include "common/logging.hh"
 #include "reconfig/registry.hh"
 #include "sim/oracle_policy.hh"
@@ -115,45 +113,21 @@ makeSubroutineController()
     return makeController("fg-subroutine").make();
 }
 
-// --- Named sweep presets --------------------------------------------------
+// --- Grid building blocks -------------------------------------------------
 
-namespace {
-
-/** A machine variant of one preset's grid. */
-struct SweepVariant {
-    std::string label;
-    ProcessorConfig cfg;
-    std::function<std::unique_ptr<ReconfigController>()> makeController;
-    /**
-     * Stable identity of makeController's output (RunPoint::
-     * controllerKey). Every preset variant with a controller declares
-     * one: it is what makes preset points content-addressable in the
-     * serve-layer result cache (a factory without a key is opaque and
-     * therefore never memoized). Distinct parameterizations must get
-     * distinct keys.
-     */
-    std::string controllerKey;
-};
-
-/**
- * Build a variant whose controller comes from the policy registry: the
- * point's controllerKey is the registry handle's canonical key, so
- * every parameterization is content-addressable (warmup sharing, serve
- * cache) without hand-maintained key strings.
- */
 SweepVariant
 policyVariant(const std::string &label, ProcessorConfig cfg,
-              const std::string &policy, const PolicyParams &params = {})
+              const std::string &policy, const PolicyParams &params)
 {
     ControllerHandle h = makeController(policy, params);
     return {label, std::move(cfg), std::move(h.make), std::move(h.key)};
 }
 
-/** Append one benchmark x variants cross to an existing point list. */
 void
 appendCross(std::vector<RunPoint> &points, const WorkloadSpec &w,
             const std::vector<SweepVariant> &variants,
-            std::uint64_t warmup, std::uint64_t measure)
+            std::uint64_t warmup, std::uint64_t measure,
+            const std::string &seedTag)
 {
     for (const SweepVariant &v : variants) {
         RunPoint p;
@@ -164,9 +138,14 @@ appendCross(std::vector<RunPoint> &points, const WorkloadSpec &w,
         p.warmup = warmup;
         p.measure = measure;
         p.controllerKey = v.controllerKey;
+        p.seedTag = seedTag;
         points.push_back(std::move(p));
     }
 }
+
+// --- Named sweep presets --------------------------------------------------
+
+namespace {
 
 /** Cross every benchmark with every variant, in row-major order. */
 std::vector<RunPoint>
@@ -177,6 +156,23 @@ crossGrid(const std::vector<SweepVariant> &variants,
     for (const WorkloadSpec &w : allBenchmarks())
         appendCross(points, w, variants, warmup, measure);
     return points;
+}
+
+/**
+ * Append one section of a preset: every benchmark crossed with the
+ * variants, labelled `section/label`. A non-empty seedTag makes all
+ * labels of the section race one instruction stream per benchmark, so
+ * their ratios compare the variants alone.
+ */
+void
+appendSection(std::vector<RunPoint> &points, const std::string &section,
+              std::vector<SweepVariant> variants, std::uint64_t warmup,
+              std::uint64_t measure, const std::string &seedTag)
+{
+    for (SweepVariant &v : variants)
+        v.label = section + "/" + v.label;
+    for (const WorkloadSpec &w : allBenchmarks())
+        appendCross(points, w, variants, warmup, measure, seedTag);
 }
 
 std::vector<SweepVariant>
@@ -193,6 +189,83 @@ staticPlusExploreVariants(InterconnectKind kind, bool decentralized)
     };
 }
 
+/**
+ * The in-text communication-cost studies (DESIGN.md X1): a 16-cluster
+ * machine against itself with one communication cost idealized away,
+ * under the centralized and the decentralized cache.
+ */
+std::vector<RunPoint>
+commcostPreset(std::uint64_t warmup, std::uint64_t measure)
+{
+    ProcessorConfig base = staticSubsetConfig(16);
+    ProcessorConfig free_mem = base;
+    free_mem.freeMemComm = true;
+    ProcessorConfig free_reg = base;
+    free_reg.freeRegComm = true;
+
+    ProcessorConfig dbase =
+        staticSubsetConfig(16, InterconnectKind::Ring, true);
+    ProcessorConfig perfect_bank = dbase;
+    perfect_bank.perfectBankPred = true;
+    ProcessorConfig dfree_reg = dbase;
+    dfree_reg.freeRegComm = true;
+
+    std::vector<RunPoint> points;
+    appendSection(points, "central",
+                  {{"base", base, nullptr, ""},
+                   {"free-mem-comm", free_mem, nullptr, ""},
+                   {"free-reg-comm", free_reg, nullptr, ""}},
+                  warmup, measure, "commcost/central");
+    appendSection(points, "dcache",
+                  {{"base", dbase, nullptr, ""},
+                   {"perfect-bank-pred", perfect_bank, nullptr, ""},
+                   {"free-reg-comm", dfree_reg, nullptr, ""}},
+                  warmup, measure, "commcost/dcache");
+    return points;
+}
+
+/**
+ * Ablations of the design choices DESIGN.md calls out, each section
+ * led by the configuration this repo ships: the steering heuristic's
+ * load-balance override, the no-exploration scheme's distant-ILP
+ * threshold (the paper's raw 160/1000 vs. the recalibrated 300), and
+ * the fine-grained scheme's branch stride.
+ */
+std::vector<RunPoint>
+ablationPreset(std::uint64_t warmup, std::uint64_t measure)
+{
+    ProcessorConfig full = staticSubsetConfig(16);
+    ProcessorConfig no_balance = full;
+    no_balance.loadBalanceThreshold = 1 << 20; // never override
+    ProcessorConfig pure_balance = full;
+    pure_balance.loadBalanceThreshold = 0; // always least-loaded
+
+    auto ilp = [](const char *label, const char *per_mille) {
+        return policyVariant(label, clusteredConfig(16), "ivl-ilp",
+                             {{"distant-per-mille", per_mille}});
+    };
+    auto fg = [](const char *label, const char *stride) {
+        return policyVariant(label, clusteredConfig(16), "fg-branch",
+                             {{"stride", stride}});
+    };
+
+    std::vector<RunPoint> points;
+    appendSection(points, "steering",
+                  {{"full-heuristic", full, nullptr, ""},
+                   {"no-load-balance", no_balance, nullptr, ""},
+                   {"pure-load-balance", pure_balance, nullptr, ""}},
+                  warmup, measure, "ablation/steering");
+    appendSection(points, "threshold",
+                  {ilp("ilp-300", "300"), ilp("ilp-160", "160"),
+                   ilp("ilp-500", "500")},
+                  warmup, measure, "ablation/threshold");
+    appendSection(points, "stride",
+                  {fg("fg-every-5th", "5"), fg("fg-every-branch", "1"),
+                   fg("fg-every-20th", "20")},
+                  warmup, measure, "ablation/stride");
+    return points;
+}
+
 } // namespace
 
 const std::vector<std::string> &
@@ -200,7 +273,7 @@ sweepPresetNames()
 {
     static const std::vector<std::string> names = {
         "table3", "fig3", "fig5", "fig6", "fig7", "fig8",
-        "sensitivity", "smoke", "tournament",
+        "sensitivity", "commcost", "ablation", "smoke", "tournament",
     };
     return names;
 }
@@ -290,19 +363,19 @@ makeSweepPreset(const std::string &name, std::uint64_t warmup,
             s4.activeClustersAtReset = 4;
             ProcessorConfig s16 = hw;
             s16.activeClustersAtReset = 16;
-            std::string tag(sc.label);
-            std::vector<SweepVariant> variants = {
-                {tag + "/static-4", s4, nullptr, ""},
-                {tag + "/static-16", s16, nullptr, ""},
-                policyVariant(tag + "/ivl-explore", hw, "ivl-explore"),
-            };
-            auto grid = crossGrid(variants, warm, run(1500000));
-            points.insert(points.end(),
-                          std::make_move_iterator(grid.begin()),
-                          std::make_move_iterator(grid.end()));
+            appendSection(points, sc.label,
+                          {{"static-4", s4, nullptr, ""},
+                           {"static-16", s16, nullptr, ""},
+                           policyVariant("ivl-explore", hw,
+                                         "ivl-explore")},
+                          warm, run(1500000), "");
         }
         return points;
     }
+    if (name == "commcost")
+        return commcostPreset(warm, run(1000000));
+    if (name == "ablation")
+        return ablationPreset(warm, run(800000));
     if (name == "smoke") {
         std::vector<SweepVariant> variants = {
             {"static-16", staticSubsetConfig(16), nullptr, ""},
@@ -338,10 +411,7 @@ makeSweepPreset(const std::string &name, std::uint64_t warmup,
                  {"horizon", std::to_string(warm + meas)},
                  {"warmup", std::to_string(warm)},
                  {"interval", "1000"}}));
-            std::size_t first = points.size();
-            appendCross(points, w, variants, warm, meas);
-            for (std::size_t i = first; i < points.size(); i++)
-                points[i].seedTag = "tournament";
+            appendCross(points, w, variants, warm, meas, "tournament");
         }
         return points;
     }

@@ -532,7 +532,7 @@ runSweep(const std::vector<RunPoint> &points, const SweepOptions &opts)
 
     // The canonical plan (sim/plan.hh), shared with the serve-layer
     // cache, decides every point's identity and every warmup group.
-    SweepPlan plan = planSweep(points, opts.deriveSeeds);
+    SweepPlan plan = planSweep(points, /*derive_seeds=*/true);
     Completion done{plan, opts, out, {}};
     std::atomic<std::size_t> sims{0};
     std::vector<std::unique_ptr<OracleJob>> jobs;

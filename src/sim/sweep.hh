@@ -8,8 +8,8 @@
  * on a fixed-size worker pool, and collects the SimResults in
  * submission order. Results are bit-identical regardless of thread
  * count or scheduling order: each group gets its own workload copy, a
- * fresh controller from its factory, and (optionally) an RNG seed
- * derived deterministically from the (benchmark, config) pair.
+ * fresh controller from its factory, and an RNG seed derived
+ * deterministically from the (benchmark, config) pair (or seedTag).
  *
  * The sweep-level JSON report (sweepReportJson) captures run metadata,
  * per-run metrics, and wall-clock + aggregate statistics, giving every
@@ -56,9 +56,9 @@ struct RunPoint {
      * When non-empty, replaces the label in derived-seed computation:
      * seed = sweepSeed(base, benchmark, seedTag). Points of one
      * benchmark sharing a tag race the *same* instruction stream, so
-     * their metrics compare head-to-head (the tournament preset tags
-     * all its policy variants). Empty (the default) preserves the
-     * per-label decorrelation of every other preset.
+     * their metrics compare head-to-head (the tournament, commcost
+     * and ablation presets tag their labels per section). Empty (the
+     * default) decorrelates the stream per label.
      */
     std::string seedTag;
 };
@@ -67,13 +67,6 @@ struct RunPoint {
 struct SweepOptions {
     /** Worker threads; 0 = std::thread::hardware_concurrency(). */
     int threads = 0;
-    /**
-     * Derive each run's workload seed from (benchmark, config) via
-     * sweepSeed() so every grid point is decorrelated yet reproducible.
-     * When false the WorkloadSpec's own seed is used unchanged (the
-     * historical bench behaviour).
-     */
-    bool deriveSeeds = true;
     /**
      * Called as each run completes (from worker threads, serialized
      * internally under a clustersim::Mutex -- see

@@ -19,10 +19,9 @@
 namespace clustersim {
 
 inline std::string
-perPointReport(const std::string &name, const std::vector<RunPoint> &points,
-               bool derive_seeds)
+perPointReport(const std::string &name, const std::vector<RunPoint> &points)
 {
-    std::vector<PlannedPoint> plan = planPoints(points, derive_seeds);
+    std::vector<PlannedPoint> plan = planPoints(points, /*derive_seeds=*/true);
     SweepResult ref;
     ref.runs.resize(points.size());
     for (std::size_t i = 0; i < points.size(); i++) {

@@ -115,8 +115,8 @@ straightLine(const ProcessorConfig &cfg,
     return measureWindow(proc, measure);
 }
 
-/** A small grid whose points all share one stream (deriveSeeds=false),
- *  so the plan forms real warmup groups. */
+/** A small grid whose points all share one stream (one seedTag), so
+ *  the plan forms real warmup groups. */
 std::vector<RunPoint>
 sharedStreamPoints()
 {
@@ -135,6 +135,7 @@ sharedStreamPoints()
         if (controller)
             p.makeController = [] { return makeExploreController(); };
         p.controllerKey = key;
+        p.seedTag = "shared";
         points.push_back(std::move(p));
     };
     add("shared-a", 4000, 12000, false, "");
@@ -531,13 +532,12 @@ warmCount(const SweepResult &res)
 TEST(Checkpoint, ColdThenWarmSweepByteIdentical)
 {
     std::vector<RunPoint> points = sharedStreamPoints();
-    std::string baseline = perPointReport("ckpt", points, false);
+    std::string baseline = perPointReport("ckpt", points);
 
     TempDir dir;
     WarmupCheckpointStore store(dir.path());
     SweepOptions opts;
     opts.threads = 1;
-    opts.deriveSeeds = false;
     opts.checkpoints = &store;
 
     // Cold: four of the six points are keyed ("ctrl-unkeyed" and
@@ -573,13 +573,12 @@ TEST(Checkpoint, ColdThenWarmBatchedByteIdentical)
     // that wrote it: blobs stored by a multi-member group warm lone
     // points, and blobs stored by lone points warm the group.
     std::vector<RunPoint> points = sharedStreamPoints();
-    std::string baseline = perPointReport("ckpt", points, false);
+    std::string baseline = perPointReport("ckpt", points);
     auto alone = [&](WarmupCheckpointStore &store) {
         SweepResult res;
         for (const RunPoint &p : points) {
             SweepOptions opts;
             opts.threads = 1;
-            opts.deriveSeeds = false;
             opts.checkpoints = &store;
             res.runs.push_back(runSweep({p}, opts).runs[0]);
         }
@@ -587,7 +586,6 @@ TEST(Checkpoint, ColdThenWarmBatchedByteIdentical)
     };
     SweepOptions grouped;
     grouped.threads = 4;
-    grouped.deriveSeeds = false;
 
     // Grouped cold on four workers, then every point as its own sweep.
     TempDir dir;
@@ -621,8 +619,7 @@ TEST(Checkpoint, CorruptStaleAndSaltedBlobsRecompute)
     std::vector<RunPoint> points = sharedStreamPoints();
     SweepOptions plain;
     plain.threads = 1;
-    plain.deriveSeeds = false;
-    std::string baseline = perPointReport("ckpt", points, false);
+    std::string baseline = perPointReport("ckpt", points);
 
     TempDir dir;
     WarmupCheckpointStore store(dir.path());
@@ -641,7 +638,8 @@ TEST(Checkpoint, CorruptStaleAndSaltedBlobsRecompute)
     // The recompute re-stored good blobs; now plant a stale-version
     // payload under a key the sweep will ask for. The store-level hash
     // is valid, so only the in-payload version stamp can reject it.
-    std::string key = store.keyFor(points[0], points[0].workload.seed);
+    std::string key =
+        store.keyFor(points[0], planPoints(points, true)[0].seed);
     ASSERT_FALSE(key.empty());
     auto good = store.load(key);
     ASSERT_TRUE(good.has_value());

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the sim layer: presets, the run driver, the
- * experiment-matrix helpers, phase statistics (Table 4 machinery), and
- * the leakage model.
+ * Unit tests for the sim layer: presets, the run driver, the sweep
+ * table renderer, phase statistics (Table 4 machinery), and the
+ * leakage model.
  */
 
 #include <gtest/gtest.h>
@@ -10,11 +10,11 @@
 #include <cmath>
 
 #include "sim/energy.hh"
-#include "sim/experiment.hh"
 #include "sim/phase_stats.hh"
 #include "sim/presets.hh"
 #include "sim/simulation.hh"
 #include "sim/sweep.hh"
+#include "sim/sweep_table.hh"
 
 using namespace clustersim;
 
@@ -128,47 +128,113 @@ TEST(Simulation, DeterministicResults)
 }
 
 // ---------------------------------------------------------------------------
-// Experiment matrix
+// Sweep table renderer
 // ---------------------------------------------------------------------------
 
-TEST(Experiment, MatrixShapeAndTable)
-{
-    std::vector<WorkloadSpec> workloads = {makeBenchmark("gzip")};
-    std::vector<Variant> variants = {
-        {"static-4", staticSubsetConfig(4), nullptr},
-        {"static-16", staticSubsetConfig(16), nullptr},
-    };
-    MatrixResult m = runMatrix(workloads, variants, 10000, 30000,
-                               /*verbose=*/false);
-    ASSERT_EQ(m.benchmarks.size(), 1u);
-    ASSERT_EQ(m.variants.size(), 2u);
-    EXPECT_GT(m.at(0, 0).ipc, 0.0);
-    EXPECT_GT(m.at(0, 1).ipc, 0.0);
+namespace {
 
-    Table t = ipcTable(m);
-    std::string out = t.format();
+/**
+ * A benchmarks x labels sweep with the given IPCs (ipcs[b][l]); the
+ * last label is controller-driven, the others static.
+ */
+void
+fakeSweep(const std::vector<std::string> &benchmarks,
+          const std::vector<std::string> &labels,
+          const std::vector<std::vector<double>> &ipcs,
+          std::vector<RunPoint> &points, SweepResult &res)
+{
+    for (std::size_t b = 0; b < benchmarks.size(); b++) {
+        for (std::size_t l = 0; l < labels.size(); l++) {
+            RunPoint p;
+            p.label = labels[l];
+            p.workload.name = benchmarks[b];
+            if (l + 1 == labels.size())
+                p.makeController = [] { return makeExploreController(); };
+            points.push_back(std::move(p));
+            SweepRun run;
+            run.result.ipc = ipcs[b][l];
+            res.runs.push_back(std::move(run));
+        }
+    }
+}
+
+} // namespace
+
+TEST(SweepTable, RendersBenchmarkByLabelIpcTable)
+{
+    std::vector<RunPoint> points;
+    for (int n : {4, 16}) {
+        RunPoint p;
+        p.label = "static-" + std::to_string(n);
+        p.cfg = staticSubsetConfig(n);
+        p.workload = makeBenchmark("gzip");
+        p.warmup = 10000;
+        p.measure = 30000;
+        points.push_back(std::move(p));
+    }
+    SweepResult res = runSweep(points);
+    std::vector<SweepSection> sections = sweepSections(points, res);
+    ASSERT_EQ(sections.size(), 1u);
+    ASSERT_EQ(sections[0].benchmarks.size(), 1u);
+    ASSERT_EQ(sections[0].labels.size(), 2u);
+    EXPECT_GT(sections[0].cells[0][0]->ipc, 0.0);
+    EXPECT_GT(sections[0].cells[0][1]->ipc, 0.0);
+
+    std::string out = renderSweepTables(points, res);
     EXPECT_NE(out.find("gzip"), std::string::npos);
     EXPECT_NE(out.find("static-4"), std::string::npos);
     EXPECT_NE(out.find("AM"), std::string::npos);
+    EXPECT_NE(out.find("GM"), std::string::npos);
 }
 
-TEST(Experiment, SpeedupOverBestBaseline)
+TEST(SweepTable, SpeedupOverPerBenchmarkBestStatic)
 {
-    MatrixResult m;
-    m.benchmarks = {"a", "b"};
-    m.variants = {"base1", "base2", "dyn"};
-    SimResult r;
-    auto mk = [&](double ipc) {
-        SimResult x;
-        x.ipc = ipc;
-        return x;
-    };
-    m.results = {{mk(1.0), mk(2.0), mk(2.2)},
-                 {mk(3.0), mk(1.0), mk(3.0)}};
-    (void)r;
+    std::vector<RunPoint> points;
+    SweepResult res;
+    fakeSweep({"a", "b"}, {"base1", "base2", "dyn"},
+              {{1.0, 2.0, 2.2}, {3.0, 1.0, 3.0}}, points, res);
+    std::vector<SweepSection> sections = sweepSections(points, res);
+    ASSERT_EQ(sections.size(), 1u);
     // dyn vs best(base1, base2): a: 2.2/2.0, b: 3.0/3.0.
-    double s = speedupOverBest(m, 2, {0, 1});
-    EXPECT_NEAR(s, std::sqrt(1.1 * 1.0), 1e-9);
+    EXPECT_NEAR(speedupOverBest(sections[0], 2), std::sqrt(1.1 * 1.0),
+                1e-9);
+}
+
+TEST(SweepTable, SpeedupOverBestFixedPicksSingleStatic)
+{
+    std::vector<RunPoint> points;
+    SweepResult res;
+    // base1 gm = sqrt(1*4) = 2.0, base2 gm = sqrt(2*2.5) ~ 2.24: base2
+    // is the best fixed organization.
+    fakeSweep({"a", "b"}, {"base1", "base2", "dyn"},
+              {{1.0, 2.0, 2.0}, {4.0, 2.5, 4.0}}, points, res);
+    std::vector<SweepSection> sections = sweepSections(points, res);
+    ASSERT_EQ(sections.size(), 1u);
+    // dyn vs base2: (2.0/2.0, 4.0/2.5) -> sqrt(1 * 1.6)
+    EXPECT_NEAR(speedupOverBestFixed(sections[0], 2), std::sqrt(1.0 * 1.6),
+                1e-9);
+    std::string out = renderSweepTables(points, res);
+    EXPECT_NE(out.find("best fixed static (base2)"), std::string::npos);
+}
+
+TEST(SweepTable, SectionsSplitOnLabelPrefix)
+{
+    std::vector<RunPoint> points;
+    SweepResult res;
+    fakeSweep({"a", "b"}, {"x/static-4", "x/static-16", "x/dyn"},
+              {{1.0, 2.0, 2.0}, {2.0, 1.0, 2.0}}, points, res);
+    fakeSweep({"a"}, {"y/base", "y/dyn"}, {{1.0, 1.5}}, points, res);
+    std::vector<SweepSection> sections = sweepSections(points, res);
+    ASSERT_EQ(sections.size(), 2u);
+    EXPECT_EQ(sections[0].name, "x");
+    EXPECT_EQ(sections[0].labels,
+              (std::vector<std::string>{"static-4", "static-16", "dyn"}));
+    EXPECT_EQ(sections[0].isStatic, (std::vector<bool>{true, true, false}));
+    EXPECT_EQ(sections[1].name, "y");
+    EXPECT_EQ(sections[1].benchmarks, (std::vector<std::string>{"a"}));
+    std::string out = renderSweepTables(points, res);
+    EXPECT_NE(out.find("== x =="), std::string::npos);
+    EXPECT_NE(out.find("geomean IPC ratio over base"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,28 +341,6 @@ TEST(Energy, ClampsOutOfRange)
 {
     EXPECT_DOUBLE_EQ(relativeLeakage(20.0, 16), 1.0);
     EXPECT_GT(relativeLeakage(-1.0, 16), 0.0);
-}
-
-TEST(Experiment, SpeedupOverBestFixedPicksSingleBaseline)
-{
-    MatrixResult m;
-    m.benchmarks = {"a", "b"};
-    m.variants = {"base1", "base2", "dyn"};
-    auto mk = [](double ipc) {
-        SimResult x;
-        x.ipc = ipc;
-        return x;
-    };
-    // base1 geomean = sqrt(1*4) = 2; base2 geomean = sqrt(4*1) = 2 --
-    // tie broken by order (base1 kept only if strictly better, so
-    // base2 wins the >=... use distinct values instead.
-    m.results = {{mk(1.0), mk(2.0), mk(2.0)},
-                 {mk(4.0), mk(2.0), mk(4.0)}};
-    // base1 gm = 2.0, base2 gm = 2.0 -> equal; make base2 better:
-    m.results[1][1] = mk(2.5); // base2 gm = sqrt(2*2.5) ~ 2.24
-    // dyn vs base2: (2.0/2.0, 4.0/2.5) -> sqrt(1 * 1.6)
-    double s = speedupOverBestFixed(m, 2, {0, 1});
-    EXPECT_NEAR(s, std::sqrt(1.0 * 1.6), 1e-9);
 }
 
 TEST(PhaseStats, TooFewIntervalsIsNaNNotStable)

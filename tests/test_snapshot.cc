@@ -189,7 +189,7 @@ TEST(Batched, SmokePresetReportByteIdenticalToUnbatched)
     // (the CI thread-count diff runs the same property through the
     // sweep tool).
     std::vector<RunPoint> points = makeSweepPreset("smoke", 5000, 20000);
-    std::string reference = perPointReport("smoke", points, true);
+    std::string reference = perPointReport("smoke", points);
     for (int threads : {1, 4}) {
         SweepOptions opts;
         opts.threads = threads;
@@ -202,7 +202,7 @@ TEST(Batched, SmokePresetReportByteIdenticalToUnbatched)
 
 TEST(Batched, WarmupSharingGroupsMatchUnbatched)
 {
-    // deriveSeeds=false gives every point the same instruction stream,
+    // One seedTag gives every point the same instruction stream,
     // so the plan forms multi-member warmup groups and runSweep serves
     // the non-lead members through snapshot restores:
     //  - four controller-less points sharing (config, warmup) but
@@ -227,6 +227,7 @@ TEST(Batched, WarmupSharingGroupsMatchUnbatched)
         if (controller)
             p.makeController = [] { return makeExploreController(); };
         p.controllerKey = key;
+        p.seedTag = "shared";
         points.push_back(std::move(p));
     };
     add("shared-a", 5000, 20000, false, "");
@@ -238,7 +239,7 @@ TEST(Batched, WarmupSharingGroupsMatchUnbatched)
     add("ctrl-unkeyed", 5000, 15000, true, "");
     add("other-warmup", 2000, 20000, false, "");
 
-    SweepPlan plan = planSweep(points, /*derive_seeds=*/false);
+    SweepPlan plan = planSweep(points, /*derive_seeds=*/true);
     ASSERT_EQ(plan.groups.size(), 4u);
     EXPECT_EQ(plan.groups[0].members,
               (std::vector<std::size_t>{0, 1, 2, 3}));
@@ -247,11 +248,10 @@ TEST(Batched, WarmupSharingGroupsMatchUnbatched)
     EXPECT_EQ(plan.groups[3].members, (std::vector<std::size_t>{7}));
 
     // Grouping must not depend on which worker runs which group.
-    std::string reference = perPointReport("grouped", points, false);
+    std::string reference = perPointReport("grouped", points);
     for (int threads : {1, 4}) {
         SweepOptions opts;
         opts.threads = threads;
-        opts.deriveSeeds = false;
         EXPECT_EQ(reference,
                   sweepReportJson("grouped", points,
                                   runSweep(points, opts), false))

@@ -23,6 +23,7 @@
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
 #include "sweep_reference.hh"
+#include "workload/benchmarks.hh"
 
 using namespace clustersim;
 
@@ -428,6 +429,48 @@ TEST(Presets, SweepPresetShapes)
     EXPECT_EQ(makeSweepPreset("sensitivity").size(), 108u);
 }
 
+TEST(Presets, CommcostAndAblationRaceOneStreamPerSection)
+{
+    const std::map<std::string, std::set<std::string>> want = {
+        {"commcost", {"central", "dcache"}},
+        {"ablation", {"steering", "threshold", "stride"}},
+    };
+    for (const auto &[preset, sections] : want) {
+        std::vector<RunPoint> points = makeSweepPreset(preset, 1000, 2000);
+        EXPECT_EQ(points.size(),
+                  sections.size() * 3 * allBenchmarks().size())
+            << preset;
+        std::map<std::string, std::set<std::string>> tags;
+        for (const RunPoint &p : points) {
+            std::size_t slash = p.label.find('/');
+            ASSERT_NE(slash, std::string::npos) << p.label;
+            std::string section = p.label.substr(0, slash);
+            EXPECT_EQ(sections.count(section), 1u) << p.label;
+            EXPECT_FALSE(p.seedTag.empty()) << p.label;
+            tags[section].insert(p.seedTag);
+            // Controllers come from registry handles: a controller
+            // point carries the handle's canonical key.
+            EXPECT_EQ(p.makeController != nullptr,
+                      !p.controllerKey.empty())
+                << p.label;
+            if (p.controllerKey.empty())
+                continue;
+            std::string policy;
+            PolicyParams params;
+            ASSERT_TRUE(parseControllerKey(p.controllerKey, policy, params))
+                << p.controllerKey;
+            EXPECT_EQ(makeController(policy, params).key, p.controllerKey);
+        }
+        // One stream tag per section, distinct across sections.
+        std::set<std::string> all;
+        for (const std::string &section : sections) {
+            ASSERT_EQ(tags[section].size(), 1u) << preset << "/" << section;
+            all.insert(*tags[section].begin());
+        }
+        EXPECT_EQ(all.size(), sections.size()) << preset;
+    }
+}
+
 TEST(Presets, SweepPresetOverridesRunLengths)
 {
     std::vector<RunPoint> pts = makeSweepPreset("table3", 5000, 77777);
@@ -490,7 +533,7 @@ TEST(Tournament, ReportByteIdenticalAcrossEnginesAndRanked)
 {
     std::vector<RunPoint> points =
         makeSweepPreset("tournament", 1000, 2000);
-    std::string a = perPointReport("tournament", points, true);
+    std::string a = perPointReport("tournament", points);
     for (int threads : {1, 4}) {
         SweepOptions opts;
         opts.threads = threads;
@@ -599,7 +642,7 @@ TEST(Tournament, GridSimulatesNinetyRunsAndALoneOracleTen)
     SweepResult res = runSweep(lone, opts);
     EXPECT_EQ(res.simulations, 10u);
     EXPECT_EQ(sweepReportJson("tournament", lone, res, false),
-              perPointReport("tournament", lone, true));
+              perPointReport("tournament", lone));
 
     // A grid without oracle points simulates exactly its points.
     std::vector<RunPoint> smoke = makeSweepPreset("smoke", 1000, 2000);
@@ -634,7 +677,7 @@ TEST(Tournament, ReplicaGridMatchesPerPointReference)
         auto inner = std::move(p.makeController);
         p.makeController = [inner] { return inner(); };
     }
-    std::string reference = perPointReport("tournament", points, true);
+    std::string reference = perPointReport("tournament", points);
     for (int threads : {1, 4}) {
         SweepOptions opts;
         opts.threads = threads;

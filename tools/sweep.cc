@@ -1,7 +1,9 @@
 /**
  * @file
  * Parallel sweep CLI: run a named preset of the paper's result grid on
- * the worker-pool sweep engine and emit a structured JSON report.
+ * the worker-pool sweep engine and emit a structured JSON report. When
+ * the report goes to a file, the preset's tables (sim/sweep_table.hh)
+ * print on stdout; with --out - stdout carries the JSON alone.
  *
  *   sweep --preset table3 [--threads N] [--out report.json]
  *         [--warmup N] [--measure N] [--no-timing]
@@ -30,6 +32,7 @@
 #include "sim/checkpoint.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
+#include "sim/sweep_table.hh"
 
 using namespace clustersim;
 
@@ -48,7 +51,8 @@ usage(const char *prog, int code)
                  "concurrency)\n"
                  "  --jobs N        alias for --threads\n"
                  "  --out FILE      JSON report path (default: "
-                 "sweep-NAME.json; '-' = stdout)\n"
+                 "sweep-NAME.json; '-' = stdout); with a file, the\n"
+                 "                  preset's tables print on stdout\n"
                  "  --warmup N      warmup instructions per run "
                  "(default: preset)\n"
                  "  --measure N     measured instructions per run "
@@ -168,6 +172,7 @@ main(int argc, char **argv)
             return 1;
         }
         f << report << "\n";
+        std::fputs(renderSweepTables(points, res).c_str(), stdout);
     }
 
     std::string dest = out_path == "-" ? "" : " -> " + out_path;
